@@ -5,11 +5,8 @@
 // twitter's super nodes than GCGT's node-centric frontier.
 //
 // One GcgtSession per dataset; the three engines are the session's backends
-// answering the same CcQuery / BcQuery. A fourth, replay-paired GCGT
-// configuration ("GCGT+replay") runs the same queries with the decoded-
-// adjacency replay cache enabled: identical answers, same scenario shape,
-// so the JSON rows expose the host-wall effect of skipping re-decodes for
-// hot vertices. GCGT rows additionally surface replay/decode counters.
+// answering the same CcQuery / BcQuery. A multi-source BC row (BC4) runs on
+// GCGT only. GCGT rows additionally surface the decode-word counter.
 #include <cstdio>
 
 #include "bench/bench_common.h"
@@ -24,8 +21,8 @@ int main(int argc, char** argv) {
   uint64_t budget = bench::DeviceBudgetBytes(datasets);
   std::printf("device memory budget (scaled 12GB): %.1f MB\n\n",
               budget / 1048576.0);
-  std::printf("%-10s %-4s %12s %12s %12s %12s\n", "dataset", "app", "Gunrock",
-              "GPUCSR", "GCGT", "GCGT+replay");
+  std::printf("%-10s %-4s %12s %12s %12s\n", "dataset", "app", "Gunrock",
+              "GPUCSR", "GCGT");
 
   // JSON/table order matches the printed columns.
   const Backend backends[] = {Backend::kCsrGunrock, Backend::kCsrBaseline,
@@ -39,109 +36,42 @@ int main(int argc, char** argv) {
     NodeId bc_source = bench::BfsSources(d.graph, 1)[0];
     std::vector<NodeId> bc4_sources = bench::BfsSources(d.graph, 4);
 
-    // Replay-paired GCGT configuration: same encoding and budget, replay
-    // cache on. 4MB fits every dataset inside the scaled budget with (near)
-    // zero LRU churn; the degree-8 pre-gate keeps low-degree vertices from
-    // paying capture bookkeeping; min_touches = 1 admits on first touch so
-    // BC's backward sweep already replays (see tests/codec_test.cc).
-    PrepareOptions ropt;
-    ropt.gcgt.device.memory_bytes = budget;
-    ropt.gcgt.replay_cache_bytes = 4ull << 20;
-    ropt.gcgt.replay_min_degree = 8;
-    ropt.gcgt.replay_min_touches = 1;
-    auto replayed = GcgtSession::Prepare(d.graph, ropt);
-
+    auto run_row = [&](const char* app, const Query& query, Backend backend) {
+      const double t0 = bench::NowNs();
+      auto r = session.Run(query, {.backend = backend});
+      const double wall = bench::NowNs() - t0;
+      // OOM rows carry no measurement: zero both metrics and mark the row
+      // so check_trend.py skips it explicitly.
+      std::vector<std::pair<std::string, std::string>> extra = {
+          {"oom", r.ok() ? "0" : "1"}};
+      if (backend == Backend::kCgrSimt && r.ok()) {
+        extra.emplace_back(
+            "decode_words",
+            std::to_string(r.value().metrics().warp.decode_words));
+      }
+      json.Add(d.name + "/" + app + "/" + BackendName(backend),
+               r.ok() ? wall : 0.0,
+               r.ok() ? bench::ModelCycles(r.value().metrics().model_ms, cost)
+                      : 0.0,
+               extra);
+      std::printf(" %12s",
+                  r.ok() ? Cell(r.value().metrics().model_ms, 12, 3).c_str()
+                         : Cell("OOM", 12).c_str());
+    };
     auto run_app = [&](const char* app, const Query& query) {
       std::printf("%-10s %-4s", d.name.c_str(), app);
-      for (Backend backend : backends) {
-        const double t0 = bench::NowNs();
-        auto r = session.Run(query, {.backend = backend});
-        const double wall = bench::NowNs() - t0;
-        // OOM rows carry no measurement: zero both metrics and mark the row
-        // so check_trend.py skips it explicitly.
-        std::vector<std::pair<std::string, std::string>> extra = {
-            {"oom", r.ok() ? "0" : "1"}};
-        if (backend == Backend::kCgrSimt && r.ok()) {
-          const simt::WarpStats& w = r.value().metrics().warp;
-          extra.emplace_back("replay_hits", std::to_string(w.replay_hits));
-          extra.emplace_back("replay_evictions",
-                             std::to_string(w.replay_evictions));
-          extra.emplace_back("decode_words", std::to_string(w.decode_words));
-        }
-        json.Add(d.name + "/" + app + "/" + BackendName(backend),
-                 r.ok() ? wall : 0.0,
-                 r.ok() ? bench::ModelCycles(r.value().metrics().model_ms,
-                                             cost)
-                        : 0.0,
-                 extra);
-        std::printf(" %12s",
-                    r.ok() ? Cell(r.value().metrics().model_ms, 12, 3).c_str()
-                           : Cell("OOM", 12).c_str());
-      }
-      if (replayed.ok()) {
-        const double t0 = bench::NowNs();
-        auto r = replayed.value().Run(query, {.backend = Backend::kCgrSimt});
-        const double wall = bench::NowNs() - t0;
-        std::vector<std::pair<std::string, std::string>> extra = {
-            {"oom", r.ok() ? "0" : "1"}};
-        if (r.ok()) {
-          const simt::WarpStats& w = r.value().metrics().warp;
-          extra.emplace_back("replay_hits", std::to_string(w.replay_hits));
-          extra.emplace_back("replay_evictions",
-                             std::to_string(w.replay_evictions));
-          extra.emplace_back("decode_words", std::to_string(w.decode_words));
-        }
-        json.Add(d.name + "/" + app + "/GCGT+replay", r.ok() ? wall : 0.0,
-                 r.ok() ? bench::ModelCycles(r.value().metrics().model_ms,
-                                             cost)
-                        : 0.0,
-                 extra);
-        std::printf(" %12s",
-                    r.ok() ? Cell(r.value().metrics().model_ms, 12, 3).c_str()
-                           : Cell("OOM", 12).c_str());
-      }
+      for (Backend backend : backends) run_row(app, query, backend);
       std::printf("\n");
     };
     run_app("CC", CcQuery{});
     run_app("BC", BcQuery{{bc_source}});
 
-    // The decode-bound pairing: multi-source BC re-traverses the same
-    // reachable set once per source and direction, so after the first sweep
-    // warms the cache, the remaining sweeps replay instead of re-decoding —
-    // this is where the warm-wall win shows (GCGT vs GCGT+replay only).
-    auto run_gcgt_pair = [&](const char* app, const Query& query) {
-      std::printf("%-10s %-4s %12s %12s", d.name.c_str(), app,
-                  Cell("-", 12).c_str(), Cell("-", 12).c_str());
-      GcgtSession* sessions[2] = {&session,
-                                  replayed.ok() ? &replayed.value() : nullptr};
-      const char* names[2] = {"GCGT", "GCGT+replay"};
-      for (int i = 0; i < 2; ++i) {
-        if (sessions[i] == nullptr) continue;
-        const double t0 = bench::NowNs();
-        auto r = sessions[i]->Run(query, {.backend = Backend::kCgrSimt});
-        const double wall = bench::NowNs() - t0;
-        std::vector<std::pair<std::string, std::string>> extra = {
-            {"oom", r.ok() ? "0" : "1"}};
-        if (r.ok()) {
-          const simt::WarpStats& w = r.value().metrics().warp;
-          extra.emplace_back("replay_hits", std::to_string(w.replay_hits));
-          extra.emplace_back("replay_evictions",
-                             std::to_string(w.replay_evictions));
-          extra.emplace_back("decode_words", std::to_string(w.decode_words));
-        }
-        json.Add(d.name + "/" + app + "/" + names[i], r.ok() ? wall : 0.0,
-                 r.ok() ? bench::ModelCycles(r.value().metrics().model_ms,
-                                             cost)
-                        : 0.0,
-                 extra);
-        std::printf(" %12s",
-                    r.ok() ? Cell(r.value().metrics().model_ms, 12, 3).c_str()
-                           : Cell("OOM", 12).c_str());
-      }
-      std::printf("\n");
-    };
-    run_gcgt_pair("BC4", BcQuery{bc4_sources});
-    std::printf("\n");
+    // Multi-source BC re-traverses the same reachable set once per source
+    // and direction: the decode-bound GCGT-only row.
+    std::printf("%-10s %-4s %12s %12s", d.name.c_str(), "BC4",
+                Cell("-", 12).c_str(), Cell("-", 12).c_str());
+    run_row("BC4", BcQuery{bc4_sources}, Backend::kCgrSimt);
+    std::printf("\n\n");
   }
   return 0;
 }

@@ -1,15 +1,11 @@
 // Decode-free set-intersection sweep: per dataset, triangle counting and a
-// Zipf-repeated Jaccard pair batch under three engine configurations —
+// Zipf-repeated Jaccard pair batch under two engine configurations —
 //   full-decode   decode every adjacency into scratch, merge element-wise
 //                 (the "decompress-then-intersect" strawman)
 //   decode-free   merge interval runs and residuals straight off the
 //                 compressed stream (the tentpole path)
-//   decode+replay decode-free with the replay cache enabled: lists touched
-//                 repeatedly WITHIN one query (triangle re-streams every
-//                 vertex once per neighbor) are served from decoded
-//                 adjacency instead of re-walking the bitstream
 //
-// All three execute the same intersection semantics, so their results must
+// Both execute the same intersection semantics, so their results must
 // be BIT-IDENTICAL to each other and to the CPU reference; this bench
 // cross-checks that and exits nonzero on any mismatch. It also enforces the
 // headline claim — decode-free strictly undercuts full-decode on modeled
@@ -54,8 +50,7 @@ bool SameResult(const gcgt::QueryResult& a, const gcgt::QueryResult& b) {
 }
 
 /// Zipf-ish endpoint: low prepared ids are the high-degree nodes after the
-/// degree-aware reorders, and real workloads hit hot vertices repeatedly —
-/// exactly the access pattern the replay cache exists for.
+/// degree-aware reorders, and real workloads hit hot vertices repeatedly.
 gcgt::NodeId ZipfNode(gcgt::Rng& rng, gcgt::NodeId n) {
   const gcgt::NodeId hot = std::max<gcgt::NodeId>(1, n / 64);
   return static_cast<gcgt::NodeId>(
@@ -75,18 +70,16 @@ int main(int argc, char** argv) {
   struct ModeSpec {
     const char* label;
     bool full_decode;
-    uint64_t replay_bytes;
   };
   const ModeSpec kModes[] = {
-      {"full-decode", true, 0},
-      {"decode-free", false, 0},
-      {"decode+replay", false, 16ull << 20},
+      {"full-decode", true},
+      {"decode-free", false},
   };
   constexpr int kJaccardPairs = 64;
 
   auto datasets = bench::BuildDatasets();
-  std::printf("%-10s %-9s %14s %14s %14s %10s\n", "dataset", "app",
-              "full-decode", "decode-free", "decode+replay", "cpu-ms");
+  std::printf("%-10s %-9s %14s %14s %10s\n", "dataset", "app",
+              "full-decode", "decode-free", "cpu-ms");
 
   int violations = 0;
   for (const auto& d : datasets) {
@@ -97,8 +90,6 @@ int main(int argc, char** argv) {
     for (const ModeSpec& m : kModes) {
       PrepareOptions popt;
       popt.gcgt.intersect_full_decode = m.full_decode;
-      popt.gcgt.replay_cache_bytes = m.replay_bytes;
-      popt.gcgt.replay_min_degree = 8;
       auto s = GcgtSession::Prepare(d.graph, popt);
       if (!s.ok()) {
         std::fprintf(stderr, "prepare failed (%s/%s): %s\n", d.name.c_str(),
@@ -182,7 +173,7 @@ int main(int argc, char** argv) {
         }
       }
       // The headline effect: merging off the compressed stream must beat
-      // decompress-then-intersect on modeled cycles (replay only helps).
+      // decompress-then-intersect on modeled cycles.
       if (!(cycles[1] < cycles[0])) {
         std::fprintf(stderr,
                      "VIOLATION: %s/%s decode-free (%.0f cycles) does not "
@@ -190,12 +181,6 @@ int main(int argc, char** argv) {
                      d.name.c_str(), app, cycles[1], cycles[0]);
         ++violations;
       }
-      // No ordering assertion for the replay row: the cache resets per
-      // query, and a hit charges the FULL decoded list where the compressed
-      // merge would have gallop-skipped most of it — so replay wins only
-      // when lists are consumed whole (its BFS-expansion home turf) and
-      // loses on skip-heavy intersections. The row is kept as data; the 0%
-      // trend gate still pins it.
     };
 
     run_app("triangle", {TriangleCountQuery{}});

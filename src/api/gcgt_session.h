@@ -248,13 +248,6 @@ struct RunOptions {
   /// poll at query start and between BC sources. An aborted session stays
   /// fully usable — the next query Reset()s all per-query state.
   CancelToken cancel{};
-  /// Serving-tier brownout: caps the kCgrSimt replay-cache budget for THIS
-  /// query at min(prepared replay_cache_bytes, this cap); UINT64_MAX = no
-  /// cap. Result labels are unchanged — only modeled replay metrics move —
-  /// so GcgtService never memoizes capped runs under the artifact's
-  /// canonical identity. Ignored by the baseline backends (no replay
-  /// cache there).
-  uint64_t replay_budget_cap = UINT64_MAX;
 };
 
 class GcgtSession {
@@ -395,11 +388,10 @@ class GcgtSession {
 
   /// Routes the intersection query families (kTriangle..kKCore) through the
   /// persistent per-backend IntersectEngine (constructed lazily on the first
-  /// intersection query per backend; warp scratch and replay cache are then
-  /// reused across queries, like the traversal engine's).
+  /// intersection query per backend; its warp scratch is then reused across
+  /// queries, like the traversal engine's).
   Result<QueryResult> RunIntersect(const Query& query, Backend backend,
-                                   const CancelToken& cancel,
-                                   uint64_t replay_budget_cap);
+                                   const CancelToken& cancel);
   /// Prepared-space eligibility mask for similarity candidates: real nodes
   /// only (empty span = every node eligible, the no-VNC/no-reorder case).
   std::span<const uint8_t> RealMask() const;

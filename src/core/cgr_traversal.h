@@ -76,22 +76,6 @@ class CgrTraversalEngine {
   /// query"; tests assert this counter stays flat across a query batch.
   static uint64_t ConstructedCount();
 
-  /// Invalidates the decoded-adjacency replay cache (epoch bump). Called at
-  /// every query start via TraversalPipeline::Reset so replay state can
-  /// never leak across queries (results and metrics stay a pure function of
-  /// graph + options + query). No-op when the cache is disabled.
-  void ResetReplay() const;
-
-  /// Serving-tier brownout hook: caps the replay cache's capacity at
-  /// min(configured budget, cap_bytes) for subsequent queries, evicting
-  /// resident entries to fit immediately. UINT64_MAX restores the configured
-  /// budget. Result labels are unaffected (the replay cache only changes
-  /// which charge class pays for hot adjacencies), but modeled metrics DO
-  /// change, so capped runs must not be memoized under the artifact's
-  /// canonical identity (GcgtService skips the result cache for them).
-  /// Single-caller, like every other engine entry point.
-  void SetReplayBudgetCap(uint64_t cap_bytes) const;
-
   /// Evicts the out-of-core pager's resident set and zeroes its counters.
   /// Called at every query start via TraversalPipeline::Reset — each query
   /// starts cold, so fault/spill counts stay a pure function of graph +
@@ -108,10 +92,9 @@ class CgrTraversalEngine {
     return graph_.partitioned() && options_.ooc_resident_bytes > 0;
   }
 
-  /// Device bytes of the compressed adjacency data + bitStart offsets, plus
-  /// the configured replay-cache capacity (the replay buffer lives in device
-  /// memory, so it must count against the budget). With the out-of-core
-  /// pager enabled only the resident budget counts for the adjacency data —
+  /// Device bytes of the compressed adjacency data + bitStart offsets. With
+  /// the out-of-core pager enabled only the resident budget counts for the
+  /// adjacency data —
   /// the rest of the encoded bits live in the external tier and are paid for
   /// per touch via the fault/spill charge class instead.
   uint64_t BaseDeviceBytes() const {
@@ -120,8 +103,7 @@ class CgrTraversalEngine {
       adjacency = std::min<uint64_t>(adjacency, options_.ooc_resident_bytes);
     }
     return adjacency +
-           (static_cast<uint64_t>(graph_.num_nodes()) + 1) * sizeof(uint64_t) +
-           options_.replay_cache_bytes;
+           (static_cast<uint64_t>(graph_.num_nodes()) + 1) * sizeof(uint64_t);
   }
 
   const CgrGraph& graph() const { return graph_; }
@@ -132,10 +114,6 @@ class CgrTraversalEngine {
 
   const CgrGraph& graph_;
   GcgtOptions options_;
-  /// Brownout cap on the replay-cache capacity (UINT64_MAX = uncapped);
-  /// effective capacity is min(options_.replay_cache_bytes, replay_cap_).
-  /// Mutable for the same reason as scratch_: single-caller serving state.
-  mutable uint64_t replay_cap_ = UINT64_MAX;
   // Lazily-built reusable worker state (thread pool, per-thread WarpSims and
   // enumeration arenas). Mutable: ProcessFrontier is logically const but
   // reuses this scratch across levels to keep the hot path allocation-free.

@@ -39,19 +39,6 @@ struct GcgtOptions {
   /// stats, modeled cycles) are bit-identical for every value; StepTrace
   /// recording always runs on the serial path.
   int num_threads = 0;
-  /// Decoded-adjacency replay cache for hot vertices. 0 disables it (the
-  /// default: replayed expansion changes append order, so cached rows are a
-  /// distinct benched configuration, not a silent change to existing ones).
-  /// When enabled, a frontier node whose decoded adjacency is resident is
-  /// expanded from the replay buffer (charged as WarpStats::replay_txns)
-  /// instead of re-decoding its compressed list. Admission is gated on
-  /// degree >= replay_min_degree and on the node having entered >=
-  /// replay_min_touches frontiers this query; the cache is invalidated at
-  /// every query start (TraversalPipeline::Reset), so results and metrics
-  /// stay deterministic per query.
-  uint64_t replay_cache_bytes = 0;
-  int replay_min_degree = 32;
-  int replay_min_touches = 2;
   /// Out-of-core tier: device-resident budget (bytes) for the encoded
   /// adjacency data of a PARTITIONED graph (CgrGraph::partitioned()). 0
   /// disables paging — the whole bit stream is device-resident, exactly as

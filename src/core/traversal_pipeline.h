@@ -66,11 +66,7 @@ class TraversalPipeline {
     timeline_.Reset();
     levels_.clear();
     device_bytes_ = 0;
-    // New query epoch: hot-vertex replay state must not leak across queries.
-    // (BC resets once per query, so replay persists across a BC query's
-    // sources and backward sweeps — by design.)
-    engine_->ResetReplay();
-    // Same epoch rule for the out-of-core pager: every query starts cold.
+    // New query epoch for the out-of-core pager: every query starts cold.
     engine_->ResetPager();
   }
 

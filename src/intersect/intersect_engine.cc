@@ -91,23 +91,7 @@ IntersectEngine::IntersectEngine(const CgrGraph& graph,
       options_(options),
       full_decode_(options.intersect_full_decode),
       ctx_(options.lanes, options.cost.cache_line_bytes),
-      timeline_(options.cost) {
-  if (!full_decode_ && options_.replay_cache_bytes > 0) {
-    replay_.Configure(options_.replay_cache_bytes, options_.replay_min_degree,
-                      options_.replay_min_touches, graph.num_nodes());
-    replay_configured_ = true;
-    // Prepare-time degree pre-gate, exactly like the traversal engine: a real
-    // GPU reads degrees off the offsets for free, so gated nodes never pay
-    // capture bookkeeping on any query.
-    if (options_.replay_min_degree > 0) {
-      const uint64_t min_degree =
-          static_cast<uint64_t>(options_.replay_min_degree);
-      for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-        if (graph.EncodedDegree(u) < min_degree) replay_.RejectForever(u);
-      }
-    }
-  }
-}
+      timeline_(options.cost) {}
 
 IntersectEngine::IntersectEngine(const Graph& graph,
                                  const GcgtOptions& options, bool gunrock,
@@ -124,14 +108,6 @@ NodeId IntersectEngine::NumNodes() const {
   return mode_ == Mode::kCgr ? cgr_->num_nodes() : csr_->num_nodes();
 }
 
-bool IntersectEngine::replay_on() const { return replay_configured_; }
-
-uint64_t IntersectEngine::ReplayBudget() const {
-  return replay_configured_
-             ? std::min(options_.replay_cache_bytes, replay_cap_)
-             : 0;
-}
-
 Status IntersectEngine::BeginQuery(const CancelToken& cancel,
                                    uint64_t extra_bytes,
                                    uint64_t* device_bytes) {
@@ -142,11 +118,7 @@ Status IntersectEngine::BeginQuery(const CancelToken& cancel,
   timeline_.Reset();
   uint64_t base;
   if (mode_ == Mode::kCgr) {
-    if (replay_configured_) {
-      replay_.Reset();
-      replay_.SetCapacity(ReplayBudget());
-    }
-    base = cgr_->DeviceBytes() + ReplayBudget();
+    base = cgr_->DeviceBytes();
   } else {
     // 32-bit CSR footprint, same convention as the CSR traversal baselines.
     base = 4ull * (csr_->num_nodes() + 1) + 4ull * csr_->num_edges();
@@ -200,32 +172,8 @@ std::span<const NodeId> IntersectEngine::MaterializeList(
                             4ull * adj.size());
     return adj;
   }
-  const int line = options_.cost.cache_line_bytes;
-  if (replay_on()) {
-    if (const std::vector<NodeId>* adj = replay_.Touch(x)) {
-      // Replay hit: directory probe + streamed buffer lines, never decoded.
-      // Copied out so a later admission's eviction cannot invalidate us.
-      ch->ctx->ReplayHits(1);
-      ch->ctx->ReplayTxns(1 + (4ull * adj->size() +
-                               static_cast<uint64_t>(line) - 1) /
-                                  static_cast<uint64_t>(line));
-      backing->assign(adj->begin(), adj->end());
-      return *backing;
-    }
-  }
   RunCursor c = RunCursor::Compressed(*cgr_, x, ch);
   CollectCursor(&c, backing);
-  if (replay_on() && replay_.WantsAdmit(x)) {
-    const uint64_t degree = backing->size();
-    const ReplayCache::AdmitResult r =
-        replay_.Admit(x, std::vector<NodeId>(*backing));
-    if (r.admitted) {
-      ch->ctx->ReplayTxns(1 + (4ull * degree + static_cast<uint64_t>(line) -
-                               1) /
-                                  static_cast<uint64_t>(line));
-      ch->ctx->ReplayEvictions(r.evictions);
-    }
-  }
   if (full_decode_) {
     // The baseline writes the decoded list to scratch before merging.
     ch->ctx->MemAccessRange(kScratchABase, 4ull * backing->size());
@@ -240,42 +188,7 @@ RunCursor IntersectEngine::SideCursor(NodeId x, CursorCharges* ch,
     const std::span<const NodeId> adj = csr_->Neighbors(x);
     ch->ctx->MemAccessRange(kOffsetsBase + 4ull * x, 8);
     return RunCursor::Decoded(adj, kCsrColBase + 4ull * csr_->offsets()[x],
-                              /*charge_reads=*/true, /*coalesce=*/false, ch);
-  }
-  const int line = options_.cost.cache_line_bytes;
-  if (replay_on()) {
-    if (const std::vector<NodeId>* adj = replay_.Touch(x)) {
-      ch->ctx->ReplayHits(1);
-      ch->ctx->ReplayTxns(1 + (4ull * adj->size() +
-                               static_cast<uint64_t>(line) - 1) /
-                                  static_cast<uint64_t>(line));
-      backing->assign(adj->begin(), adj->end());
-      // Replay entries keep the run-merge advantage (coalesce consecutive
-      // ids back into interval-like runs); reads were charged as replay
-      // txns, not per-element memory.
-      return RunCursor::Decoded(*backing, scratch_base,
-                                /*charge_reads=*/false, /*coalesce=*/true,
-                                ch);
-    }
-    if (replay_.WantsAdmit(x)) {
-      // Admission round: pay one full decode now, replay from the buffer on
-      // every later use.
-      RunCursor c = RunCursor::Compressed(*cgr_, x, ch);
-      CollectCursor(&c, backing);
-      const uint64_t degree = backing->size();
-      const ReplayCache::AdmitResult r =
-          replay_.Admit(x, std::vector<NodeId>(*backing));
-      if (r.admitted) {
-        ch->ctx->ReplayTxns(1 + (4ull * degree +
-                                 static_cast<uint64_t>(line) - 1) /
-                                    static_cast<uint64_t>(line));
-        ch->ctx->ReplayEvictions(r.evictions);
-      }
-      return RunCursor::Decoded(*backing, scratch_base,
-                                /*charge_reads=*/false, /*coalesce=*/true,
-                                ch);
-    }
-    return RunCursor::Compressed(*cgr_, x, ch);
+                              ch);
   }
   if (full_decode_) {
     // Full-decode baseline: every codeword + a scratch round-trip + an
@@ -283,8 +196,7 @@ RunCursor IntersectEngine::SideCursor(NodeId x, CursorCharges* ch,
     RunCursor c = RunCursor::Compressed(*cgr_, x, ch);
     CollectCursor(&c, backing);
     ch->ctx->MemAccessRange(scratch_base, 4ull * backing->size());
-    return RunCursor::Decoded(*backing, scratch_base, /*charge_reads=*/true,
-                              /*coalesce=*/false, ch);
+    return RunCursor::Decoded(*backing, scratch_base, ch);
   }
   return RunCursor::Compressed(*cgr_, x, ch);
 }

@@ -58,11 +58,9 @@
 //    (HealthScore) and the artifact's circuit breaker.
 //  - Brownout: under memory pressure (result-cache resident bytes over
 //    `qos.brownout_watermark_bytes`) the watchdog shrinks the result-cache
-//    budget and caps worker replay-cache budgets by `qos.brownout_shrink`,
-//    restoring them once pressure stays off for `qos.brownout_hold`.
-//    Brownout never changes result labels; it changes modeled replay
-//    metrics, so replay-capped results are never inserted into the result
-//    cache (their identity differs from the artifact's canonical one).
+//    budget by `qos.brownout_shrink`, restoring it once pressure stays off
+//    for `qos.brownout_hold`. Brownout changes neither result labels nor
+//    modeled metrics, so browned-out results are memoized like any other.
 //
 // Robustness (the fault-tolerance layer of PR 6) is unchanged underneath:
 // deadlines/cancellation honored while queued and mid-traversal, worker
@@ -143,10 +141,9 @@ struct QosOptions {
   std::chrono::nanoseconds stuck_grace{std::chrono::milliseconds(50)};
   /// Brownout watermark on result-cache resident bytes (0 disables).
   size_t brownout_watermark_bytes = 0;
-  /// Budget multiplier applied to the result cache and to worker replay
-  /// caches while browned out.
+  /// Budget multiplier applied to the result cache while browned out.
   double brownout_shrink = 0.25;
-  /// Minimum brownout dwell before budgets are restored (pressure must
+  /// Minimum brownout dwell before the budget is restored (pressure must
   /// also have fallen to half the watermark).
   std::chrono::nanoseconds brownout_hold{std::chrono::milliseconds(100)};
 };
@@ -393,8 +390,7 @@ class GcgtService {
   /// One guarded attempt on the worker's session: fault injection, exception
   /// containment, OOM fallback. Sets `degraded` when the fallback answered.
   Result<QueryResult> Attempt(WorkerSession& ws, const ServiceQuery& query,
-                              const CancelToken& run_token,
-                              uint64_t replay_cap, bool& degraded);
+                              const CancelToken& run_token, bool& degraded);
 
   /// First-completion-wins: fulfills the promise (exactly once), cancels
   /// both attempt tokens, observes latency and counts the verdict. False
@@ -451,7 +447,7 @@ class GcgtService {
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;
 
-  // Brownout state (written by the watchdog; workers read the flag).
+  // Brownout state (written by the watchdog; Stats() reads the flag).
   std::atomic<bool> brownout_active_{false};
   Clock::time_point brownout_since_{};  // watchdog-thread-only
 

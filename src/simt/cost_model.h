@@ -36,16 +36,10 @@ struct CostModel {
   /// deduplicates lines).
   double cycles_per_mem_txn = 24.0;
   double cycles_per_atomic = 24.0;     ///< one global atomic
-  /// One line of the decoded-adjacency replay buffer/directory. Same price
-  /// as a device-memory line: the replay buffer lives in device memory too —
-  /// its win is fewer decode slots and dense (4B/edge) streaming reads, not
-  /// cheaper bytes. A separate knob so "what if replay hit L2" stays a
-  /// modelable question.
-  double cycles_per_replay_txn = 24.0;
   /// One warp-wide compressed set-intersection operation (src/intersect): an
   /// interval-pair overlap test, a residual membership probe against an
   /// interval, or one element-merge / segment-skip step of a
-  /// residual-vs-residual merge. Its own class (like replay/external) so the
+  /// residual-vs-residual merge. Its own class (like external) so the
   /// decode-free-vs-full-decode trade-off stays explicit in the model: the
   /// ops are cheap ALU work, priced well below a decode slot.
   double cycles_per_intersect_op = 2.0;

@@ -344,21 +344,14 @@ struct WarpStats {
   uint64_t mem_txns = 0;          ///< distinct 128B lines fetched
   uint64_t shared_ops = 0;
   uint64_t atomics = 0;
-  // Replay-cache charge class (decoded-adjacency replay of hot vertices).
-  // replay_txns is a separate class from mem_txns on purpose: mem_txns keeps
-  // meaning "lines of the compressed graph + queue/label regions", so the
-  // cache's cost stays explicit instead of silently folded in.
-  uint64_t replay_hits = 0;       ///< frontier nodes served from the cache
-  uint64_t replay_txns = 0;       ///< replay buffer/directory lines touched
-  uint64_t replay_evictions = 0;  ///< entries evicted to admit new ones
   /// 8-byte words spanned by charged decode reads (observability only — not
   /// priced; the lines are already in mem_txns).
   uint64_t decode_words = 0;
   // Out-of-core partition-pager charge class (src/ooc/partition_pager.h).
-  // Like replay_txns, the external-tier traffic is its own class so mem_txns
-  // keeps meaning "device-resident lines": a fault streams a non-resident
-  // partition's compressed bytes in from the external tier, a spill writes a
-  // victim's bytes back, and both are priced at cycles_per_mem_txn *
+  // The external-tier traffic is its own class so mem_txns keeps meaning
+  // "device-resident lines": a fault streams a non-resident partition's
+  // compressed bytes in from the external tier, a spill writes a victim's
+  // bytes back, and both are priced at cycles_per_mem_txn *
   // external_latency_multiplier. Pins are observability only (not priced):
   // the number of distinct partitions a round held resident.
   uint64_t partition_faults = 0;  ///< non-resident partitions faulted in
@@ -383,7 +376,6 @@ struct WarpStats {
            m.cycles_per_shared_op * static_cast<double>(shared_ops) +
            m.cycles_per_mem_txn * static_cast<double>(mem_txns) +
            m.cycles_per_atomic * static_cast<double>(atomics) +
-           m.cycles_per_replay_txn * static_cast<double>(replay_txns) +
            m.cycles_per_intersect_op * static_cast<double>(intersect_txns) +
            m.cycles_per_mem_txn * m.external_latency_multiplier *
                static_cast<double>(fault_txns + spill_txns);
@@ -398,9 +390,6 @@ struct WarpStats {
     mem_txns += o.mem_txns;
     shared_ops += o.shared_ops;
     atomics += o.atomics;
-    replay_hits += o.replay_hits;
-    replay_txns += o.replay_txns;
-    replay_evictions += o.replay_evictions;
     decode_words += o.decode_words;
     partition_faults += o.partition_faults;
     partition_spills += o.partition_spills;
@@ -570,12 +559,7 @@ class WarpContext {
   void SharedOp(int count = 1) { stats_.shared_ops += count; }
   void Atomic(int count = 1) { stats_.atomics += count; }
 
-  // ---- Replay-cache charge class + decode observability.
-  void ReplayHits(uint64_t count) { stats_.replay_hits += count; }
-  /// Replay buffer/directory lines, charged without L1 dedup (the buffer is
-  /// read streaming, once per hit). Priced at cycles_per_replay_txn.
-  void ReplayTxns(uint64_t count) { stats_.replay_txns += count; }
-  void ReplayEvictions(uint64_t count) { stats_.replay_evictions += count; }
+  // ---- Decode observability.
   void DecodeWords(uint64_t count) { stats_.decode_words += count; }
   /// Compressed set-intersection operations (priced at
   /// cycles_per_intersect_op; see WarpStats::intersect_txns).

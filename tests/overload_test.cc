@@ -12,8 +12,8 @@
 //    once, per-client fair admission bounds a flooder without touching a
 //    light client, hedged successes are bit-identical to the oracle, the
 //    watchdog reports a worker stuck past its deadline into the health
-//    score and breaker, brownout sheds cache weight without changing
-//    labels and never memoizes replay-capped results,
+//    score and breaker, brownout holds the result cache to its shrunken
+//    budget without changing labels or disabling memoization,
 //  - chaos with the full QoS stack armed: every accepted future fulfilled,
 //    successes bit-identical to the no-fault oracle.
 #include <gtest/gtest.h>
@@ -571,9 +571,16 @@ TEST(ServiceOverload, BrownoutShedsBudgetsWithoutChangingLabels) {
   Graph g = TestGraph();
   auto oracle_session = GcgtSession::Prepare(g);
   ASSERT_TRUE(oracle_session.ok());
+  auto probe = oracle_session.value().Run(BfsQuery{0});
+  ASSERT_TRUE(probe.ok());
+  const size_t result_bytes = ResultCache::ResultBytes(probe.value());
 
   ServiceOptions opt;
   opt.num_workers = 1;
+  // One shard sized for four BFS results: the three cached below fit the
+  // full budget but not the browned-out half of it.
+  opt.cache_shards = 1;
+  opt.cache_bytes = 4 * result_bytes;
   // Any cached byte trips the watermark; the hold is effectively forever,
   // so the brownout persists for the rest of the test.
   opt.qos.brownout_watermark_bytes = 1;
@@ -581,35 +588,36 @@ TEST(ServiceOverload, BrownoutShedsBudgetsWithoutChangingLabels) {
   opt.qos.brownout_shrink = 0.5;
   opt.qos.watchdog_interval = microseconds(200);
   GcgtService service(opt);
-  PrepareOptions prep;
-  prep.gcgt.replay_cache_bytes = 1 << 16;  // replay enabled: the cap bites
-  auto id = service.RegisterGraph(g, prep);
+  auto id = service.RegisterGraph(g);
   ASSERT_TRUE(id.ok());
 
   // Populate the cache; the next watchdog tick sees resident > watermark.
-  auto first = service.Submit({id.value(), BfsQuery{0}}).get();
-  ASSERT_TRUE(first.ok());
+  for (NodeId s : {0, 1, 2}) {
+    ASSERT_TRUE(service.Submit({id.value(), BfsQuery{s}}).get().ok());
+  }
   const Clock::time_point give_up = Clock::now() + std::chrono::seconds(5);
   while (!service.Stats().brownout_active && Clock::now() < give_up) {
     std::this_thread::sleep_for(microseconds(200));
   }
   ASSERT_TRUE(service.Stats().brownout_active) << "brownout never engaged";
-  const uint64_t insertions_at_entry = service.Stats().cache.insertions;
+  const size_t shrunk_budget = static_cast<size_t>(
+      static_cast<double>(opt.cache_bytes) * opt.qos.brownout_shrink);
+  EXPECT_LE(service.Stats().cache.bytes, shrunk_budget);
 
-  // A browned-out run is replay-capped: labels are still the oracle's...
-  auto capped = service.Submit({id.value(), BfsQuery{3}}).get();
-  ASSERT_TRUE(capped.ok());
+  // A browned-out run answers with the oracle's labels...
+  auto browned = service.Submit({id.value(), BfsQuery{3}}).get();
+  ASSERT_TRUE(browned.ok());
   auto want = oracle_session.value().Run(BfsQuery{3});
   ASSERT_TRUE(want.ok());
-  EXPECT_EQ(capped.value().bfs().depth, want.value().bfs().depth);
+  EXPECT_EQ(browned.value().bfs().depth, want.value().bfs().depth);
+  EXPECT_LE(service.Stats().cache.bytes, shrunk_budget);
 
-  // ...but its modeled metrics belong to a shrunken replay budget, so it
-  // must never be memoized: a resubmission runs fresh instead of hitting.
-  const ServiceStats mid = service.Stats();
-  EXPECT_EQ(mid.cache.insertions, insertions_at_entry);
+  // ...and is memoized like any other result: a resubmission hits.
+  const uint64_t hits_before = service.Stats().cache.hits;
   auto again = service.Submit({id.value(), BfsQuery{3}}).get();
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(service.Stats().cache.hits, 0u);
+  EXPECT_EQ(again.value().bfs().depth, want.value().bfs().depth);
+  EXPECT_EQ(service.Stats().cache.hits, hits_before + 1);
 
   EXPECT_GE(service.Stats().brownout_events, 1u);
 }
