@@ -41,7 +41,6 @@ uint64_t HashOptions(uint64_t h, const PrepareOptions& o) {
   h = HashCombine(h, static_cast<uint64_t>(o.ooc_partitions));
   h = HashCombine(h, static_cast<uint64_t>(o.gcgt.level));
   h = HashCombine(h, static_cast<uint64_t>(o.gcgt.lanes));
-  h = HashCombine(h, static_cast<uint64_t>(o.gcgt.warp_centric_min_residuals));
   h = HashCombine(h, o.gcgt.ooc_resident_bytes);
   h = HashCombine(h, o.gcgt.cost.cycles_per_step);
   h = HashCombine(h, o.gcgt.cost.cycles_per_decode_step);

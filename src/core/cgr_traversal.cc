@@ -26,6 +26,10 @@ using simt::WarpStats;
 
 using BitRange = std::pair<uint64_t, uint64_t>;  // inclusive byte range
 
+/// A lane's residual list is handed to warp-centric decoding when at least
+/// this many residuals remain after the stealing stage.
+constexpr uint64_t kWarpCentricMinResiduals = 32;
+
 BitRange ByteRangeOf(uint64_t bit_before, uint64_t bit_after) {
   uint64_t lo = kBitsBase + bit_before / 8;
   uint64_t hi = kBitsBase + (bit_after > bit_before ? (bit_after - 1) / 8
@@ -844,8 +848,7 @@ void WarpSim::ResidualPhaseStealing() {
     if (o_.level >= GcgtLevel::kWarpCentric && work_.size() <= 2) {
       bool any_heavy = false;
       for (int l : work_) {
-        if (lanes_[l].rs.remaining() >=
-            static_cast<uint64_t>(o_.warp_centric_min_residuals)) {
+        if (lanes_[l].rs.remaining() >= kWarpCentricMinResiduals) {
           any_heavy = true;
         }
       }
@@ -895,8 +898,7 @@ void WarpSim::StealWindows(const std::vector<int>& work_lanes, bool handoff) {
       for (int l : work_lanes) {
         if (lanes_[l].rs.HasNext()) {
           ++busy;
-          if (lanes_[l].rs.remaining() >=
-              static_cast<uint64_t>(o_.warp_centric_min_residuals)) {
+          if (lanes_[l].rs.remaining() >= kWarpCentricMinResiduals) {
             any_heavy = true;
           }
         }

@@ -31,9 +31,6 @@ struct GcgtOptions {
   GcgtLevel level = GcgtLevel::kFull;
   /// Lanes per warp; 32 in production, 8/16 in the paper's worked examples.
   int lanes = simt::kWarpSize;
-  /// A lane's residual list is handed to warp-centric decoding when at least
-  /// this many residuals remain after the stealing stage.
-  int warp_centric_min_residuals = 32;
   /// Host threads simulating warps concurrently. 0 = hardware concurrency,
   /// 1 = the serial reference engine. Results (frontiers, labels, per-warp
   /// stats, modeled cycles) are bit-identical for every value; StepTrace

@@ -27,8 +27,7 @@ GcgtService::GcgtService(const ServiceOptions& options)
   if (options_.num_workers < 1) options_.num_workers = 1;
   if (options_.max_attempts < 1) options_.max_attempts = 1;
   if (options_.cache_bytes > 0) {
-    cache_ = std::make_unique<ResultCache>(options_.cache_bytes,
-                                           options_.cache_shards);
+    cache_ = std::make_unique<ResultCache>(options_.cache_bytes);
   }
   // Arm chaos externally (GCGT_FAULT_SEED / GCGT_FAULT_RATE); no-op unless
   // both are set, and once-only so repeated service constructions never
@@ -184,38 +183,6 @@ CircuitBreakerState GcgtService::BreakerState(uint64_t fingerprint) const {
                                : it->second->state();
 }
 
-std::shared_ptr<GcgtService::ArtifactHealth> GcgtService::HealthFor(
-    uint64_t fingerprint) {
-  std::lock_guard<std::mutex> lock(health_mu_);
-  auto it = health_.find(fingerprint);
-  if (it == health_.end()) {
-    it = health_.emplace(fingerprint, std::make_shared<ArtifactHealth>())
-             .first;
-  }
-  return it->second;
-}
-
-double GcgtService::HealthScore(uint64_t fingerprint) const {
-  std::shared_ptr<ArtifactHealth> health;
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    auto it = health_.find(fingerprint);
-    if (it == health_.end()) return 1.0;
-    health = it->second;
-  }
-  const double ok =
-      static_cast<double>(health->ok.load(std::memory_order_relaxed));
-  const double failed =
-      static_cast<double>(health->failed.load(std::memory_order_relaxed));
-  const double stuck =
-      static_cast<double>(health->stuck.load(std::memory_order_relaxed));
-  // Failures weigh 4x a success, stuck detections 8x: one stuck worker
-  // (a whole engine wedged past its deadline) is a far stronger signal than
-  // one contained exception.
-  const double total = ok + 4.0 * failed + 8.0 * stuck;
-  return total <= 0.0 ? 1.0 : ok / total;
-}
-
 std::shared_ptr<GcgtService::JobState> GcgtService::MakeState(
     ServiceQuery query) {
   if (options_.default_timeout.count() > 0) {
@@ -345,7 +312,6 @@ bool GcgtService::Fulfill(JobState& state, Result<QueryResult> result,
   // its result is already in hand.
   state.attempt_cancel[0].Cancel();
   state.attempt_cancel[1].Cancel();
-  ObserveLatency(Clock::now() - state.admitted_at);
   if (!result.ok()) {
     if (result.status().IsCancelled()) {
       cancelled_.fetch_add(1, std::memory_order_relaxed);
@@ -538,8 +504,7 @@ void GcgtService::Serve(int worker_index,
       if (artifact == nullptr) {
         return Status::NotFound("graph is not registered with the service");
       }
-      GcgtSession session =
-          artifact->NewWorkerSession(options_.worker_engine_threads);
+      GcgtSession session = artifact->NewWorkerSession();
       worker_sessions_.fetch_add(1, std::memory_order_relaxed);
       it = sessions
                .emplace(fingerprint,
@@ -575,15 +540,12 @@ void GcgtService::Serve(int worker_index,
                                               options_.retry_backoff_cap));
     }
 
-    // Only service-side verdicts feed the breaker (see circuit_breaker.h)
-    // and the health score (watchdog stuck detections add the third input).
-    std::shared_ptr<ArtifactHealth> health = HealthFor(fingerprint);
+    // Only service-side verdicts feed the breaker (see circuit_breaker.h);
+    // watchdog stuck detections are its other input.
     if (attempt.ok()) {
       breaker->RecordSuccess();
-      health->ok.fetch_add(1, std::memory_order_relaxed);
     } else if (attempt.status().IsInternal()) {
       breaker->RecordFailure();
-      health->failed.fetch_add(1, std::memory_order_relaxed);
     }
 
     // Degraded results are never cached (their identity belongs to the
@@ -641,9 +603,6 @@ void GcgtService::WatchdogLoop() {
     if (!FaultInjector::Global().ShouldInject(FaultPoint::kWatchdogTick)) {
       ScanStuck();
       if (options_.qos.enable_hedging) ScanHedges();
-      if (options_.qos.brownout_watermark_bytes > 0 && cache_) {
-        ScanBrownout();
-      }
     }
     lock.lock();
   }
@@ -668,35 +627,12 @@ void GcgtService::ScanStuck() {
       continue;
     }
     watchdog_stuck_.fetch_add(1, std::memory_order_relaxed);
-    HealthFor(state->query.graph)
-        ->stuck.fetch_add(1, std::memory_order_relaxed);
     BreakerFor(state->query.graph)->RecordFailure();
   }
 }
 
-std::chrono::nanoseconds GcgtService::HedgeDelay() const {
-  if (options_.qos.hedge_delay.count() > 0) return options_.qos.hedge_delay;
-  // Adaptive: a multiple of the observed completion-latency EWMA, floored —
-  // the tail-at-scale rule of thumb (hedge when a query outlives the typical
-  // one by a comfortable factor).
-  const uint64_t ewma = latency_ewma_ns_.load(std::memory_order_relaxed);
-  const auto adaptive = std::chrono::nanoseconds(static_cast<int64_t>(
-      static_cast<double>(ewma) * options_.qos.hedge_latency_factor));
-  return std::max(adaptive, options_.qos.hedge_min_delay);
-}
-
-void GcgtService::ObserveLatency(Clock::duration latency) {
-  const int64_t raw =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(latency).count();
-  const uint64_t ns = raw < 0 ? 0 : static_cast<uint64_t>(raw);
-  const uint64_t prev = latency_ewma_ns_.load(std::memory_order_relaxed);
-  const uint64_t next = prev == 0 ? ns : (prev * 7 + ns) / 8;
-  latency_ewma_ns_.store(next, std::memory_order_relaxed);
-}
-
 void GcgtService::ScanHedges() {
   const Clock::time_point now = Clock::now();
-  const std::chrono::nanoseconds delay = HedgeDelay();
   std::vector<std::shared_ptr<JobState>> candidates;
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
@@ -707,7 +643,7 @@ void GcgtService::ScanHedges() {
         continue;
       }
       if (!state->hedged.load(std::memory_order_relaxed) &&
-          now - state->admitted_at >= delay) {
+          now - state->admitted_at >= options_.qos.hedge_delay) {
         candidates.push_back(std::move(state));
       }
       ++it;
@@ -751,28 +687,6 @@ void GcgtService::ScanHedges() {
   }
 }
 
-void GcgtService::ScanBrownout() {
-  const Clock::time_point now = Clock::now();
-  const size_t watermark = options_.qos.brownout_watermark_bytes;
-  const size_t resident = cache_->Stats().bytes;
-  if (!brownout_active_.load(std::memory_order_relaxed)) {
-    if (resident > watermark) {
-      // Memory pressure: shed cache weight now and keep the shrunken budget
-      // until pressure stays off for the hold.
-      brownout_since_ = now;
-      brownout_events_.fetch_add(1, std::memory_order_relaxed);
-      cache_->SetBudget(static_cast<size_t>(
-          static_cast<double>(options_.cache_bytes) *
-          options_.qos.brownout_shrink));
-      brownout_active_.store(true, std::memory_order_release);
-    }
-  } else if (now - brownout_since_ >= options_.qos.brownout_hold &&
-             resident <= watermark / 2) {
-    cache_->SetBudget(options_.cache_bytes);
-    brownout_active_.store(false, std::memory_order_release);
-  }
-}
-
 ServiceStats GcgtService::Stats() const {
   ServiceStats stats;
   stats.submitted = submitted_.load(std::memory_order_relaxed);
@@ -793,8 +707,6 @@ ServiceStats GcgtService::Stats() const {
   stats.hedged = hedged_.load(std::memory_order_relaxed);
   stats.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
   stats.watchdog_stuck = watchdog_stuck_.load(std::memory_order_relaxed);
-  stats.brownout_events = brownout_events_.load(std::memory_order_relaxed);
-  stats.brownout_active = brownout_active_.load(std::memory_order_relaxed);
   stats.partition_faults = partition_faults_.load(std::memory_order_relaxed);
   stats.partition_spills = partition_spills_.load(std::memory_order_relaxed);
   stats.resident_bytes_peak =

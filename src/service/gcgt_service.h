@@ -44,23 +44,16 @@
 //    (`qos.fair_tokens_per_sec`, keyed by ServiceQuery::client_id) shed a
 //    flooding tenant at admission before it can starve others.
 //  - Hedged requests: once `qos.enable_hedging` is set and a query has been
-//    in flight past the hedge delay (fixed, or adaptive from the EWMA of
-//    observed completion latency), the watchdog re-dispatches it to a
+//    in flight for `qos.hedge_delay`, the watchdog re-dispatches it to a
 //    second worker if the queue has spare capacity. First completion wins
 //    and fulfills the promise (exactly once); the loser's attempt token is
 //    cancelled and its result discarded. Winning results remain
 //    bit-identical to the oracle — both attempts run the same deterministic
 //    engine on the same artifact.
-//  - Watchdog & health: a background thread (qos.watchdog_interval) detects
-//    stuck workers — running one query `qos.stuck_grace` past its deadline,
-//    i.e. the engine missed its cooperative cancel polls — and feeds them,
-//    with per-attempt outcomes, into a per-artifact health score
-//    (HealthScore) and the artifact's circuit breaker.
-//  - Brownout: under memory pressure (result-cache resident bytes over
-//    `qos.brownout_watermark_bytes`) the watchdog shrinks the result-cache
-//    budget by `qos.brownout_shrink`, restoring it once pressure stays off
-//    for `qos.brownout_hold`. Brownout changes neither result labels nor
-//    modeled metrics, so browned-out results are memoized like any other.
+//  - Watchdog: a background thread (qos.watchdog_interval) detects stuck
+//    workers — running one query `qos.stuck_grace` past its deadline, i.e.
+//    the engine missed its cooperative cancel polls — counts them
+//    (watchdog_stuck) and reports them to the artifact's circuit breaker.
 //
 // Robustness (the fault-tolerance layer of PR 6) is unchanged underneath:
 // deadlines/cancellation honored while queued and mid-traversal, worker
@@ -108,7 +101,7 @@ namespace gcgt {
 /// Overload-control knobs. Defaults keep legacy behavior for everything but
 /// the admission discipline: EDF ordering with lazy expiry sweeping is on
 /// (it is a pure win — un-deadlined single-class workloads degenerate to
-/// FIFO), while shedding, fair admission, hedging and brownout are opt-in.
+/// FIFO), while shedding, fair admission and hedging are opt-in.
 struct QosOptions {
   /// EDF admission discipline (priority classes, deadline order, lazy
   /// expiry sweeping). false restores the legacy global FIFO — no
@@ -127,25 +120,15 @@ struct QosOptions {
   /// Hedged requests (off by default: they trade duplicated work for tail
   /// latency, a policy the operator must opt into).
   bool enable_hedging = false;
-  /// Fixed hedge delay; 0 = adaptive: hedge_latency_factor x the EWMA of
-  /// observed completion latency, floored at hedge_min_delay.
+  /// Hedge a query once it has been in flight this long.
   std::chrono::nanoseconds hedge_delay{0};
-  std::chrono::nanoseconds hedge_min_delay{std::chrono::milliseconds(1)};
-  double hedge_latency_factor = 2.0;
-  /// Watchdog cadence; 0 disables the thread (and with it stuck detection,
-  /// hedging and brownout).
+  /// Watchdog cadence; 0 disables the thread (and with it stuck detection
+  /// and hedging).
   std::chrono::nanoseconds watchdog_interval{std::chrono::milliseconds(5)};
   /// A worker running one query this long past the query's deadline is
-  /// "stuck" (its engine missed the cooperative cancel polls): counted,
-  /// health-scored, and reported to the artifact's circuit breaker.
+  /// "stuck" (its engine missed the cooperative cancel polls): counted and
+  /// reported to the artifact's circuit breaker.
   std::chrono::nanoseconds stuck_grace{std::chrono::milliseconds(50)};
-  /// Brownout watermark on result-cache resident bytes (0 disables).
-  size_t brownout_watermark_bytes = 0;
-  /// Budget multiplier applied to the result cache while browned out.
-  double brownout_shrink = 0.25;
-  /// Minimum brownout dwell before the budget is restored (pressure must
-  /// also have fallen to half the watermark).
-  std::chrono::nanoseconds brownout_hold{std::chrono::milliseconds(100)};
 };
 
 struct ServiceOptions {
@@ -157,12 +140,6 @@ struct ServiceOptions {
   size_t queue_capacity = 256;
   /// Result-cache byte budget across all shards; 0 disables caching.
   size_t cache_bytes = size_t{64} << 20;
-  size_t cache_shards = 8;
-  /// Host threads per worker ENGINE (-1 inherits the artifact's
-  /// PrepareOptions). Default 1: the service parallelizes across workers,
-  /// and serial engines neither contend on the shared host pool nor
-  /// oversubscribe cores. Results are identical either way.
-  int worker_engine_threads = 1;
 
   // --- Robustness knobs -----------------------------------------------
   /// Total attempts per query (first run + retries) for TRANSIENT failures
@@ -239,8 +216,6 @@ struct ServiceStats {
   uint64_t hedged = 0;            ///< hedge attempts dispatched
   uint64_t hedge_wins = 0;        ///< queries answered by their hedge
   uint64_t watchdog_stuck = 0;    ///< stuck-worker detections
-  uint64_t brownout_events = 0;   ///< times brownout mode engaged
-  bool brownout_active = false;   ///< browned out right now
   // Out-of-core pager counters, summed over every successful result served
   // (cache hits replay the memoized metrics, so they count identically):
   uint64_t partition_faults = 0;  ///< partitions faulted in from the
@@ -320,13 +295,6 @@ class GcgtService {
   /// traffic). Exposed for tests and operational introspection.
   CircuitBreakerState BreakerState(uint64_t fingerprint) const;
 
-  /// Artifact health in [0, 1]: 1.0 for an artifact with no observed
-  /// service-side failures (or never served). Successful attempts raise it;
-  /// Internal failures and (heaviest) watchdog stuck detections sink it.
-  /// The same events feed the artifact's circuit breaker; the score is the
-  /// operator-facing continuous view of what the breaker trips on.
-  double HealthScore(uint64_t fingerprint) const;
-
  private:
   using Clock = CancelToken::Clock;
 
@@ -374,12 +342,6 @@ class GcgtService {
     std::shared_ptr<JobState> state;  // null = idle
   };
 
-  struct ArtifactHealth {
-    std::atomic<uint64_t> ok{0};
-    std::atomic<uint64_t> failed{0};
-    std::atomic<uint64_t> stuck{0};
-  };
-
   std::shared_ptr<JobState> MakeState(ServiceQuery query);
   bool FairAdmit(uint64_t client_id);
   void RegisterInflight(const std::shared_ptr<JobState>& state);
@@ -393,10 +355,10 @@ class GcgtService {
                               const CancelToken& run_token, bool& degraded);
 
   /// First-completion-wins: fulfills the promise (exactly once), cancels
-  /// both attempt tokens, observes latency and counts the verdict. False
-  /// when the sibling attempt already won. `on_win` runs after winning the
-  /// race but BEFORE set_value: all per-query accounting goes through it, so
-  /// a client that wakes on the future never reads Stats() mid-update.
+  /// both attempt tokens and counts the verdict. False when the sibling
+  /// attempt already won. `on_win` runs after winning the race but BEFORE
+  /// set_value: all per-query accounting goes through it, so a client that
+  /// wakes on the future never reads Stats() mid-update.
   bool Fulfill(JobState& state, Result<QueryResult> result,
                const std::function<void()>& on_win = nullptr);
   /// Records a failed attempt's verdict and releases its liveness; the LAST
@@ -409,13 +371,9 @@ class GcgtService {
   void WatchdogLoop();
   void ScanStuck();
   void ScanHedges();
-  void ScanBrownout();
-  std::chrono::nanoseconds HedgeDelay() const;
-  void ObserveLatency(Clock::duration latency);
 
   /// The artifact's breaker, created on first use (never null).
   std::shared_ptr<CircuitBreaker> BreakerFor(uint64_t fingerprint);
-  std::shared_ptr<ArtifactHealth> HealthFor(uint64_t fingerprint);
 
   ServiceOptions options_;
   std::unique_ptr<ResultCache> cache_;  // null when cache_bytes == 0
@@ -425,9 +383,6 @@ class GcgtService {
 
   mutable std::mutex breakers_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<CircuitBreaker>> breakers_;
-
-  mutable std::mutex health_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<ArtifactHealth>> health_;
 
   std::mutex buckets_mu_;
   std::unordered_map<uint64_t, TokenBucket> buckets_;
@@ -447,15 +402,6 @@ class GcgtService {
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;
 
-  // Brownout state (written by the watchdog; Stats() reads the flag).
-  std::atomic<bool> brownout_active_{false};
-  Clock::time_point brownout_since_{};  // watchdog-thread-only
-
-  /// EWMA of observed completion latency (ns); feeds the adaptive hedge
-  /// delay. Load/modify/store is deliberately non-atomic-RMW: a lost update
-  /// only smears the average.
-  std::atomic<uint64_t> latency_ewma_ns_{0};
-
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> completed_{0};
@@ -472,7 +418,6 @@ class GcgtService {
   std::atomic<uint64_t> hedged_{0};
   std::atomic<uint64_t> hedge_wins_{0};
   std::atomic<uint64_t> watchdog_stuck_{0};
-  std::atomic<uint64_t> brownout_events_{0};
   std::atomic<uint64_t> partition_faults_{0};
   std::atomic<uint64_t> partition_spills_{0};
   std::atomic<uint64_t> resident_bytes_peak_{0};

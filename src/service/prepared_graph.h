@@ -51,11 +51,12 @@ class PreparedGraph {
 
   /// New single-caller session over the shared artifact. Constructs one
   /// engine and nothing else (the encode, permutation and decoded
-  /// uncompressed view are shared). `num_threads_override >= 0` pins the
-  /// clone engine's host thread count (a serving tier typically runs serial
-  /// engines and scales across workers).
-  GcgtSession NewWorkerSession(int num_threads_override = -1) const {
-    return master_.AttachClone(num_threads_override);
+  /// uncompressed view are shared). The engine is serial by default: the
+  /// service scales across workers, and serial engines neither contend on
+  /// the shared host pool nor oversubscribe cores. Results are bit-identical
+  /// for every `num_threads`.
+  GcgtSession NewWorkerSession(int num_threads = 1) const {
+    return master_.AttachClone(num_threads);
   }
 
   const CgrGraph& cgr() const { return master_.cgr(); }

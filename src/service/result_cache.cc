@@ -1,7 +1,6 @@
 #include "service/result_cache.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace gcgt {
 
@@ -19,13 +18,6 @@ void CanonicalizePairQuery(Query& query) {
   if (auto* jc = std::get_if<JaccardQuery>(&query)) {
     if (jc->v < jc->u) std::swap(jc->u, jc->v);
   }
-}
-
-ResultCache::ResultCache(size_t max_bytes, size_t num_shards) {
-  const size_t n = std::bit_ceil(num_shards < 1 ? size_t{1} : num_shards);
-  shards_.reserve(n);
-  for (size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
-  bytes_per_shard_ = max_bytes / n;
 }
 
 bool ResultCache::Cacheable(const Query& query) {
@@ -133,8 +125,7 @@ std::shared_ptr<const QueryResult> ResultCache::Lookup(
 void ResultCache::Insert(const ResultCacheKey& key,
                          std::shared_ptr<const QueryResult> result) {
   const size_t bytes = ResultBytes(*result);
-  const size_t budget = bytes_per_shard_.load(std::memory_order_relaxed);
-  if (bytes > budget) return;  // would evict the whole shard
+  if (bytes > bytes_per_shard_) return;  // would evict the whole shard
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   if (auto it = shard.map.find(key); it != shard.map.end()) {
@@ -143,7 +134,7 @@ void ResultCache::Insert(const ResultCacheKey& key,
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  TrimShardLocked(shard, budget >= bytes ? budget - bytes : 0);
+  TrimShardLocked(shard, bytes_per_shard_ - bytes);
   shard.lru.push_front(Entry{key, std::move(result), bytes});
   shard.map.emplace(key, shard.lru.begin());
   shard.bytes += bytes;
@@ -160,35 +151,26 @@ void ResultCache::TrimShardLocked(Shard& shard, size_t budget) {
   }
 }
 
-void ResultCache::SetBudget(size_t max_bytes) {
-  const size_t per_shard = max_bytes / shards_.size();
-  bytes_per_shard_.store(per_shard, std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    TrimShardLocked(*shard, per_shard);
-  }
-}
-
 ResultCacheStats ResultCache::Stats() const {
   ResultCacheStats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.insertions = insertions_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    stats.entries += shard->map.size();
-    stats.bytes += shard->bytes;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    stats.entries += shard.map.size();
+    stats.bytes += shard.bytes;
   }
   return stats;
 }
 
 void ResultCache::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
-    shard->map.clear();
-    shard->bytes = 0;
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.lru.clear();
+    shard.map.clear();
+    shard.bytes = 0;
   }
 }
 

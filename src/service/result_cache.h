@@ -18,12 +18,14 @@
 // Sharding: each shard is an independent mutex + LRU list + hash map, and a
 // key's shard is a pure function of its hash, so concurrent workers only
 // contend when they touch the same shard. Capacity is a byte budget
-// (result vectors dominate) split evenly across shards; eviction is LRU per
-// shard. Values are shared by const pointer — an evicted entry stays alive
-// for readers already holding it.
+// (result vectors dominate) split evenly across kShards shards; eviction is
+// LRU per shard, so resident bytes never exceed the budget. Values are
+// shared by const pointer — an evicted entry stays alive for readers already
+// holding it.
 #ifndef GCGT_SERVICE_RESULT_CACHE_H_
 #define GCGT_SERVICE_RESULT_CACHE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -83,9 +85,12 @@ struct ResultCacheStats {
 
 class ResultCache {
  public:
-  /// `max_bytes` is the total budget across all shards; `num_shards` is
-  /// rounded up to a power of two (>= 1).
-  ResultCache(size_t max_bytes, size_t num_shards);
+  /// Shard count; a power of two, so a key's shard is a mask of its hash.
+  static constexpr size_t kShards = 8;
+
+  /// `max_bytes` is the total budget across all shards.
+  explicit ResultCache(size_t max_bytes)
+      : bytes_per_shard_(max_bytes / kShards) {}
 
   /// The cacheability rule: every query kind memoizes whole results (BC
   /// under its canonical source set).
@@ -109,16 +114,6 @@ class ResultCache {
   /// Approximate heap bytes of one cached result (the eviction weight).
   static size_t ResultBytes(const QueryResult& result);
 
-  /// Brownout hook (see GcgtService watchdog): re-budgets the cache to
-  /// `max_bytes` total (split evenly across shards) and immediately trims
-  /// each shard's LRU tail to fit. Thread-safe; restoring a larger budget
-  /// later just lets shards grow back.
-  void SetBudget(size_t max_bytes);
-  /// Current total byte budget across all shards.
-  size_t budget() const {
-    return bytes_per_shard_.load(std::memory_order_relaxed) * shards_.size();
-  }
-
   ResultCacheStats Stats() const;
   void Clear();
 
@@ -132,23 +127,21 @@ class ResultCache {
     size_t operator()(const ResultCacheKey& k) const { return k.Hash(); }
   };
   struct Shard {
-    std::mutex mu;
+    mutable std::mutex mu;
     std::list<Entry> lru;  // front = most recently used
     std::unordered_map<ResultCacheKey, std::list<Entry>::iterator, KeyHash> map;
     size_t bytes = 0;
   };
 
   Shard& ShardFor(const ResultCacheKey& key) {
-    return *shards_[key.Hash() & (shards_.size() - 1)];
+    return shards_[key.Hash() & (kShards - 1)];
   }
 
   /// Evicts the shard's LRU tail until its bytes fit `budget`.
   void TrimShardLocked(Shard& shard, size_t budget);
 
-  /// Per-shard byte budget; atomic because SetBudget (watchdog thread)
-  /// races benignly with Insert's budget reads on worker threads.
-  std::atomic<size_t> bytes_per_shard_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const size_t bytes_per_shard_;
+  std::array<Shard, kShards> shards_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> insertions_{0};

@@ -40,8 +40,8 @@ enum class FaultPoint : int {
   kCacheInsert,     ///< result cache: insertion is dropped
   kHedgeDispatch,   ///< watchdog: a due hedge re-dispatch is suppressed
   kShedDecision,    ///< worker serve: a spurious overload shed (Unavailable)
-  kWatchdogTick,    ///< watchdog: a whole tick (stuck/hedge/brownout
-                    ///< scans) is skipped
+  kWatchdogTick,    ///< watchdog: a whole tick (stuck and hedge scans) is
+                    ///< skipped
   kIntersectKernel, ///< intersect engine kernel loop: Internal error
   kNumPoints,
 };
@@ -86,7 +86,9 @@ class FaultInjector {
   /// The per-point decision. False whenever disabled or the point is masked
   /// out; otherwise deterministic in (seed, point, per-point ordinal).
   bool ShouldInject(FaultPoint point) {
-    if (!enabled_.load(std::memory_order_relaxed)) return false;
+    // Acquire pairs with Enable's release store: a point that sees the
+    // injector armed also sees the seed, rate and mask Enable wrote.
+    if (!enabled_.load(std::memory_order_acquire)) return false;
     return Roll(point);
   }
 

@@ -127,8 +127,11 @@ void ThreadPool::ParallelFor(
   }
   if (done_workers_.fetch_add(1) + 1 != num_threads_) {
     std::unique_lock<std::mutex> lock(mu_);
+    // Acquire: when the last worker's increment is already visible here the
+    // wait returns without blocking, and only this load orders that worker's
+    // reads of job_/n_ before the resets below.
     finished_.wait(lock, [&] {
-      return done_workers_.load(std::memory_order_relaxed) == num_threads_;
+      return done_workers_.load(std::memory_order_acquire) == num_threads_;
     });
   }
   job_ = nullptr;

@@ -11,9 +11,7 @@
 //    flood, queue-expired deadlines and shed decisions are counted exactly
 //    once, per-client fair admission bounds a flooder without touching a
 //    light client, hedged successes are bit-identical to the oracle, the
-//    watchdog reports a worker stuck past its deadline into the health
-//    score and breaker, brownout holds the result cache to its shrunken
-//    budget without changing labels or disabling memoization,
+//    watchdog reports a worker stuck past its deadline into the breaker,
 //  - chaos with the full QoS stack armed: every accepted future fulfilled,
 //    successes bit-identical to the no-fault oracle.
 #include <gtest/gtest.h>
@@ -528,7 +526,7 @@ TEST(ServiceOverload, HedgedSuccessIsBitIdenticalToOracle) {
 
 // ------------------------------------------------------ service: watchdog
 
-TEST(ServiceOverload, WatchdogReportsAStuckWorkerIntoHealthAndBreaker) {
+TEST(ServiceOverload, WatchdogReportsAStuckWorkerIntoBreaker) {
   Graph g = TestGraph();
   ServiceOptions opt;
   opt.num_workers = 1;
@@ -558,68 +556,8 @@ TEST(ServiceOverload, WatchdogReportsAStuckWorkerIntoHealthAndBreaker) {
   EXPECT_GE(stats.watchdog_stuck, 1u);
   // One stuck report per query, no matter how many ticks saw it parked.
   EXPECT_LE(stats.watchdog_stuck, 1u);
-  // Stuck detections are health events and breaker failures.
-  EXPECT_LT(service.HealthScore(id.value()), 1.0);
+  // Stuck detections are breaker failures.
   EXPECT_EQ(service.BreakerState(id.value()), CircuitBreakerState::kOpen);
-  // An unknown artifact stays perfectly healthy.
-  EXPECT_EQ(service.HealthScore(~id.value()), 1.0);
-}
-
-// ------------------------------------------------------ service: brownout
-
-TEST(ServiceOverload, BrownoutShedsBudgetsWithoutChangingLabels) {
-  Graph g = TestGraph();
-  auto oracle_session = GcgtSession::Prepare(g);
-  ASSERT_TRUE(oracle_session.ok());
-  auto probe = oracle_session.value().Run(BfsQuery{0});
-  ASSERT_TRUE(probe.ok());
-  const size_t result_bytes = ResultCache::ResultBytes(probe.value());
-
-  ServiceOptions opt;
-  opt.num_workers = 1;
-  // One shard sized for four BFS results: the three cached below fit the
-  // full budget but not the browned-out half of it.
-  opt.cache_shards = 1;
-  opt.cache_bytes = 4 * result_bytes;
-  // Any cached byte trips the watermark; the hold is effectively forever,
-  // so the brownout persists for the rest of the test.
-  opt.qos.brownout_watermark_bytes = 1;
-  opt.qos.brownout_hold = hours(1);
-  opt.qos.brownout_shrink = 0.5;
-  opt.qos.watchdog_interval = microseconds(200);
-  GcgtService service(opt);
-  auto id = service.RegisterGraph(g);
-  ASSERT_TRUE(id.ok());
-
-  // Populate the cache; the next watchdog tick sees resident > watermark.
-  for (NodeId s : {0, 1, 2}) {
-    ASSERT_TRUE(service.Submit({id.value(), BfsQuery{s}}).get().ok());
-  }
-  const Clock::time_point give_up = Clock::now() + std::chrono::seconds(5);
-  while (!service.Stats().brownout_active && Clock::now() < give_up) {
-    std::this_thread::sleep_for(microseconds(200));
-  }
-  ASSERT_TRUE(service.Stats().brownout_active) << "brownout never engaged";
-  const size_t shrunk_budget = static_cast<size_t>(
-      static_cast<double>(opt.cache_bytes) * opt.qos.brownout_shrink);
-  EXPECT_LE(service.Stats().cache.bytes, shrunk_budget);
-
-  // A browned-out run answers with the oracle's labels...
-  auto browned = service.Submit({id.value(), BfsQuery{3}}).get();
-  ASSERT_TRUE(browned.ok());
-  auto want = oracle_session.value().Run(BfsQuery{3});
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(browned.value().bfs().depth, want.value().bfs().depth);
-  EXPECT_LE(service.Stats().cache.bytes, shrunk_budget);
-
-  // ...and is memoized like any other result: a resubmission hits.
-  const uint64_t hits_before = service.Stats().cache.hits;
-  auto again = service.Submit({id.value(), BfsQuery{3}}).get();
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value().bfs().depth, want.value().bfs().depth);
-  EXPECT_EQ(service.Stats().cache.hits, hits_before + 1);
-
-  EXPECT_GE(service.Stats().brownout_events, 1u);
 }
 
 // --------------------------------------------------------- service: chaos

@@ -237,6 +237,45 @@ TEST(GcgtService, BcSourceSetsCanonicalizeInTheResultCache) {
   EXPECT_EQ(stats.completed, 4u);
 }
 
+TEST(GcgtService, ResultCacheStaysWithinItsByteBudget) {
+  Graph g = MakeGraph("er");
+  std::vector<NodeId> sources;
+  for (NodeId s = 0; s < 40; ++s) sources.push_back(s * 19);
+  std::vector<ServiceQuery> oracle_queries;
+  for (NodeId s : sources) oracle_queries.push_back({0, BfsQuery{s}});
+  auto oracle = OracleResults(g, PrepareOptions{}, oracle_queries);
+  ASSERT_TRUE(oracle[0].ok());
+
+  // Room for about two BFS results per shard: 40 distinct sources over the
+  // shards must evict.
+  const size_t result_bytes = ResultCache::ResultBytes(oracle[0].value());
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.cache_bytes =
+      ResultCache::kShards * (2 * result_bytes + result_bytes / 2);
+  GcgtService service(opt);
+  auto id = service.RegisterGraph(g);
+  ASSERT_TRUE(id.ok());
+
+  for (size_t i = 0; i < sources.size(); ++i) {
+    Result<QueryResult> got =
+        service.Submit({id.value(), BfsQuery{sources[i]}}).get();
+    ASSERT_TRUE(got.ok()) << "query " << i;
+    ASSERT_TRUE(oracle[i].ok()) << "query " << i;
+    ExpectBitIdentical(got.value(), oracle[i].value(), i);
+    EXPECT_LE(service.Stats().cache.bytes, opt.cache_bytes) << "query " << i;
+  }
+  EXPECT_GT(service.Stats().cache.evictions, 0u);
+
+  // The last insertion heads its shard's LRU, so it is still resident.
+  const uint64_t hits_before = service.Stats().cache.hits;
+  Result<QueryResult> again =
+      service.Submit({id.value(), BfsQuery{sources.back()}}).get();
+  ASSERT_TRUE(again.ok());
+  ExpectBitIdentical(again.value(), oracle.back().value(), sources.size());
+  EXPECT_EQ(service.Stats().cache.hits, hits_before + 1);
+}
+
 TEST(GcgtService, StressClientsTimesBackendsTimesWorkersTimesCache) {
   Graph g = MakeGraph("er");
   PrepareOptions prep;

@@ -365,5 +365,21 @@ TEST(ThreadPool, EmptyAndTinyRanges) {
   EXPECT_EQ(sum.load(), 3);
 }
 
+// Back-to-back calls make the caller's finish-wait race its reset of the job
+// slot against workers still leaving RunChunks. The assertions only check
+// coverage; the race itself is what a ThreadSanitizer build of this test
+// reports.
+TEST(ThreadPool, BackToBackParallelForIsRaceFree) {
+  ThreadPool pool(4);
+  constexpr int kCalls = 100000;
+  std::atomic<size_t> covered{0};
+  for (int call = 0; call < kCalls; ++call) {
+    pool.ParallelFor(64, 1 + call % 3, [&](size_t, size_t b, size_t e) {
+      covered.fetch_add(e - b, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(covered.load(), size_t{64} * kCalls);
+}
+
 }  // namespace
 }  // namespace gcgt
