@@ -31,6 +31,15 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+/// Flushes and closes a file opened for writing. Buffered writes fail only
+/// here (e.g. on a full disk), so a writer is OK only if this is.
+Status FinishWrite(FilePtr f, const std::string& path) {
+  const bool written = std::ferror(f.get()) == 0 && std::fflush(f.get()) == 0;
+  const bool closed = std::fclose(f.release()) == 0;
+  if (!written || !closed) return Status::IOError("write failed: " + path);
+  return Status::OK();
+}
+
 }  // namespace
 
 Status WriteFileAtomic(const std::string& path,
@@ -46,9 +55,7 @@ Status WriteFileAtomic(const std::string& path,
     FilePtr f(std::fopen(tmp.c_str(), "wb"));
     if (!f) return Status::IOError("cannot open for write: " + tmp);
     s = write_fn(f.get());
-    if (s.ok() && std::fflush(f.get()) != 0) {
-      s = Status::IOError("flush failed: " + tmp);
-    }
+    if (s.ok()) s = FinishWrite(std::move(f), tmp);
   }
   if (!s.ok()) {
     std::filesystem::remove(tmp, ec);
@@ -70,7 +77,7 @@ Status WriteEdgeListFile(const Graph& g, const std::string& path) {
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     for (NodeId v : g.Neighbors(u)) std::fprintf(f.get(), "%u %u\n", u, v);
   }
-  return Status::OK();
+  return FinishWrite(std::move(f), path);
 }
 
 Result<Graph> ReadEdgeListFile(const std::string& path) {
@@ -127,7 +134,7 @@ Status WriteBinaryCsr(const Graph& g, const std::string& path) {
           num_edges) {
     return Status::IOError("short write (neighbors): " + path);
   }
-  return Status::OK();
+  return FinishWrite(std::move(f), path);
 }
 
 Result<Graph> ReadBinaryCsr(const std::string& path) {
@@ -141,6 +148,18 @@ Result<Graph> ReadBinaryCsr(const std::string& path) {
   if (std::fread(&num_nodes, sizeof(num_nodes), 1, f.get()) != 1 ||
       std::fread(&num_edges, sizeof(num_edges), 1, f.get()) != 1) {
     return Status::Corruption("truncated header in " + path);
+  }
+  // The header must describe exactly the file's bytes before anything is
+  // sized from it: a corrupt count would otherwise throw from the allocator.
+  std::error_code ec;
+  const uint64_t file_size = std::filesystem::file_size(path, ec);
+  const uint64_t fixed_bytes = sizeof(magic) + sizeof(num_nodes) +
+                               sizeof(num_edges) +
+                               (uint64_t{num_nodes} + 1) * sizeof(EdgeId);
+  if (ec || file_size < fixed_bytes ||
+      (file_size - fixed_bytes) % sizeof(NodeId) != 0 ||
+      (file_size - fixed_bytes) / sizeof(NodeId) != num_edges) {
+    return Status::Corruption("header does not match file size in " + path);
   }
   std::vector<EdgeId> offsets(num_nodes + 1);
   std::vector<NodeId> neighbors(num_edges);

@@ -13,9 +13,10 @@ namespace gcgt {
 
 /// Writes `path` atomically: `write_fn` streams into a process+thread-unique
 /// temp file in the same directory, which is renamed over `path` only when
-/// write_fn and the flush both succeed. On any failure the temp file is
-/// removed and `path` is left untouched — readers never observe a partial
-/// file. Concurrent writers racing on one path are safe (last rename wins).
+/// write_fn, the flush and the close all succeed. On any failure the temp
+/// file is removed and `path` is left untouched — readers never observe a
+/// partial file. Concurrent writers racing on one path are safe (last
+/// rename wins).
 Status WriteFileAtomic(const std::string& path,
                        const std::function<Status(std::FILE*)>& write_fn);
 

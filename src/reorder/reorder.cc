@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <numeric>
 #include <queue>
 
@@ -138,167 +139,133 @@ std::vector<NodeId> GorderOrder(const Graph& g, const Graph& reverse,
 
 // One label-propagation layer at resolution gamma: nodes adopt the label
 // maximizing (#neighbors with label) - gamma * label_volume. Neighbor-label
-// tallying uses a timestamped counter array so each update is O(degree).
+// tallying uses a counter array that is zeroed through the touched list, so
+// each update is O(degree).
 //
-// Parallel schedule (bit-identical to the historical serial loop): the
-// shuffled visit order is processed in chunks. A chunk first computes every
-// node's proposed label concurrently on the thread pool from the label /
-// volume state frozen at chunk start, then commits the proposals serially
-// in visit order. A commit is only taken from the speculative pass when
-// none of the node's inputs changed earlier in the same chunk — a decision
-// depends exactly on the labels of its (out+in) neighbors and the volumes
-// of the labels those neighbors hold, so a node is re-evaluated serially
-// when any neighbor was relabeled this chunk (node epoch) or any neighbor's
-// current label had a volume change this chunk (label epoch). The serial
-// re-evaluation runs the exact historical code path, so the result is a
-// pure function of (graph, gamma, iterations, rng) for every pool size.
+// Schedule: LLP's layers differ only in gamma and in where they start in the
+// one rng stream, so they run concurrently on the thread pool, one task per
+// layer, each the plain serial loop below. Layer k starts where k layers of
+// kLlpSweeps shuffles leave the stream; its task reaches that state by
+// replaying those shuffles. A layer that converges early shuffles fewer
+// times, so every later layer is restarted from the true stream and rerun.
+// The permutation is therefore that of running the layers one after another
+// on one Rng, for every pool size.
 
-/// Reusable tally scratch: one per worker plus one for serial re-evaluation.
-struct LabelTally {
-  std::vector<uint32_t> count;
-  std::vector<uint32_t> stamp;
-  std::vector<NodeId> touched;
-  uint32_t current = 0;
+constexpr double kLlpGammas[] = {1.0, 1.0 / 4, 1.0 / 16, 0.0};
+constexpr int kLlpLayers = std::size(kLlpGammas);
+constexpr int kLlpSweeps = 4;  // per layer; a layer stops at a no-op sweep
+
+/// One layer's scratch. LlpOrder allocates it on the calling thread, so a
+/// layer running on a pool thread allocates nothing (glibc would keep that
+/// memory in the thread's own arena).
+struct LayerScratch {
+  LayerScratch(NodeId n, size_t max_degree)
+      : label(n), volume(n), order(n), count(n) {
+    touched.reserve(max_degree);
+  }
+  std::vector<NodeId> label;    // the layer's result
+  std::vector<NodeId> volume;   // nodes per label
+  std::vector<NodeId> order;    // visit order
+  std::vector<NodeId> count;    // neighbors per label; zero between nodes
+  std::vector<NodeId> touched;  // labels with a nonzero count
+  int sweeps = 0;  // sweeps run, each one rng.Shuffle
+  Rng rng{0};      // the stream after this layer
 };
+
+/// Runs one layer into s.label from singleton labels; leaves the stream
+/// after the layer in `rng` and the sweep count in s.sweeps.
+void PropagateLayer(const Graph& g, const Graph& reverse, double gamma,
+                    int iterations, Rng& rng, LayerScratch& s) {
+  std::iota(s.label.begin(), s.label.end(), 0);
+  std::fill(s.volume.begin(), s.volume.end(), 1);
+  std::iota(s.order.begin(), s.order.end(), 0);
+  auto tally = [&](NodeId v) {
+    if (s.count[s.label[v]]++ == 0) s.touched.push_back(s.label[v]);
+  };
+  s.sweeps = 0;
+  while (s.sweeps < iterations) {
+    rng.Shuffle(s.order);
+    ++s.sweeps;
+    bool changed = false;
+    for (NodeId u : s.order) {
+      s.touched.clear();
+      for (NodeId v : g.Neighbors(u)) tally(v);
+      for (NodeId v : reverse.Neighbors(u)) tally(v);
+      NodeId best = s.label[u];
+      double best_score = -1e300;
+      for (NodeId l : s.touched) {
+        double vol =
+            static_cast<double>(s.volume[l]) - (l == s.label[u] ? 1 : 0);
+        double score = static_cast<double>(s.count[l]) - gamma * vol;
+        s.count[l] = 0;
+        if (score > best_score) {
+          best_score = score;
+          best = l;
+        }
+      }
+      if (best != s.label[u]) {
+        --s.volume[s.label[u]];
+        ++s.volume[best];
+        s.label[u] = best;
+        changed = true;
+      }
+    }
+    if (!changed) break;
+  }
+}
 
 }  // namespace
 
 namespace internal {
 
 std::vector<NodeId> PropagateLabels(const Graph& g, const Graph& reverse,
-                                    double gamma, int iterations, Rng& rng,
-                                    ThreadPool* pool) {
-  const NodeId n = g.num_nodes();
-  std::vector<NodeId> label(n);
-  std::iota(label.begin(), label.end(), 0);
-  std::vector<uint64_t> volume(n, 1);
-
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-
-  const size_t workers = pool != nullptr ? pool->num_threads() : 1;
-  std::vector<LabelTally> tallies(workers + 1);  // [workers] = serial scratch
-  for (LabelTally& t : tallies) {
-    t.count.assign(n, 0);
-    t.stamp.assign(n, 0);
-  }
-
-  // Evaluates u against the current label/volume state; replicates the
-  // historical serial decision exactly (touched order, tie-breaking, the
-  // -1 volume adjustment for u's own label). Returns label[u] when u has no
-  // neighbors (a committed no-op).
-  auto best_label_of = [&](NodeId u, LabelTally& t) -> NodeId {
-    ++t.current;
-    t.touched.clear();
-    auto tally = [&](NodeId v) {
-      NodeId lv = label[v];
-      if (t.stamp[lv] != t.current) {
-        t.stamp[lv] = t.current;
-        t.count[lv] = 0;
-        t.touched.push_back(lv);
-      }
-      ++t.count[lv];
-    };
-    for (NodeId v : g.Neighbors(u)) tally(v);
-    for (NodeId v : reverse.Neighbors(u)) tally(v);
-    if (t.touched.empty()) return label[u];
-    NodeId best = label[u];
-    double best_score = -1e300;
-    for (NodeId l : t.touched) {
-      double vol = static_cast<double>(volume[l]) - (l == label[u] ? 1 : 0);
-      double score = static_cast<double>(t.count[l]) - gamma * vol;
-      if (score > best_score) {
-        best_score = score;
-        best = l;
-      }
-    }
-    return best;
-  };
-
-  constexpr NodeId kChunk = 2048;
-  std::vector<NodeId> proposal(n);
-  std::vector<uint32_t> node_epoch(n, 0);   // last chunk that relabeled v
-  std::vector<uint32_t> label_epoch(n, 0);  // last chunk that resized volume[l]
-  uint32_t chunk_epoch = 0;
-
-  for (int it = 0; it < iterations; ++it) {
-    rng.Shuffle(order);
-    bool changed = false;
-    for (NodeId chunk_begin = 0; chunk_begin < n; chunk_begin += kChunk) {
-      const NodeId chunk_end = std::min<NodeId>(n, chunk_begin + kChunk);
-      ++chunk_epoch;
-      if (pool != nullptr) {
-        pool->ParallelFor(
-            chunk_end - chunk_begin, 64,
-            [&](size_t tid, size_t begin, size_t end) {
-              for (size_t i = begin; i < end; ++i) {
-                const NodeId pos = chunk_begin + static_cast<NodeId>(i);
-                proposal[pos] = best_label_of(order[pos], tallies[tid]);
-              }
-            });
-      }
-      for (NodeId pos = chunk_begin; pos < chunk_end; ++pos) {
-        const NodeId u = order[pos];
-        bool stale = pool == nullptr;
-        if (!stale) {
-          auto dirty = [&](NodeId v) {
-            return node_epoch[v] == chunk_epoch ||
-                   label_epoch[label[v]] == chunk_epoch;
-          };
-          for (NodeId v : g.Neighbors(u)) {
-            if (dirty(v)) {
-              stale = true;
-              break;
-            }
-          }
-          if (!stale) {
-            for (NodeId v : reverse.Neighbors(u)) {
-              if (dirty(v)) {
-                stale = true;
-                break;
-              }
-            }
-          }
-        }
-        const NodeId best =
-            stale ? best_label_of(u, tallies[workers]) : proposal[pos];
-        if (best != label[u]) {
-          --volume[label[u]];
-          ++volume[best];
-          label_epoch[label[u]] = chunk_epoch;
-          label_epoch[best] = chunk_epoch;
-          label[u] = best;
-          node_epoch[u] = chunk_epoch;
-          changed = true;
-        }
-      }
-    }
-    if (!changed) break;
-  }
-  return label;
+                                    double gamma, int iterations, Rng& rng) {
+  LayerScratch s(g.num_nodes(), 0);
+  PropagateLayer(g, reverse, gamma, iterations, rng, s);
+  return std::move(s.label);
 }
 
-}  // namespace internal
-
-namespace {
-
 std::vector<NodeId> LlpOrder(const Graph& g, const Graph& reverse,
-                             uint64_t seed) {
+                             uint64_t seed, ThreadPool& pool) {
   const NodeId n = g.num_nodes();
-  Rng rng(seed);
-  // Speculation costs one extra tally per stale node, so only engage the
-  // parallel schedule when there is real parallelism to pay for it.
-  ThreadPool& shared = SharedThreadPool();
-  ThreadPool* pool = shared.num_threads() > 1 ? &shared : nullptr;
+  size_t max_degree = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    max_degree = std::max<size_t>(max_degree,
+                                  g.out_degree(u) + reverse.out_degree(u));
+  }
+  std::vector<LayerScratch> layers;
+  layers.reserve(kLlpLayers);
+  for (int k = 0; k < kLlpLayers; ++k) layers.emplace_back(n, max_degree);
+
+  // Layers [first, kLlpLayers) run from `start`, the true stream before
+  // layer `first`, as if every layer before them ran all its sweeps.
+  Rng start(seed);
+  for (int first = 0; first < kLlpLayers;) {
+    auto run_layers = [&](size_t, size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        LayerScratch& s = layers[first + i];
+        s.rng = start;
+        for (size_t j = 0; j < i * kLlpSweeps; ++j) s.rng.Shuffle(s.order);
+        PropagateLayer(g, reverse, kLlpGammas[first + i], kLlpSweeps, s.rng,
+                       s);
+      }
+    };
+    pool.ParallelFor(kLlpLayers - first, 1, run_layers);
+    // Layer `first` is exact; each later one is while its predecessor ran
+    // all its sweeps.
+    int last = first;
+    while (last + 1 < kLlpLayers && layers[last].sweeps == kLlpSweeps) ++last;
+    start = layers[last].rng;
+    first = last + 1;
+  }
+
   // order[rank] = node; layers refine the ordering fine -> coarse, the
   // coarsest layer applied last forms the primary grouping.
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), 0);
-  const double gammas[] = {1.0, 1.0 / 4, 1.0 / 16, 0.0};
   std::vector<NodeId> label_rank(n);
-  for (double gamma : gammas) {
-    std::vector<NodeId> label =
-        internal::PropagateLabels(g, reverse, gamma, 4, rng, pool);
+  for (const LayerScratch& layer : layers) {
+    const std::vector<NodeId>& label = layer.label;
     // Renumber cluster labels by first occurrence in the current order (the
     // LLP trick): sorting then groups each cluster without scrambling the
     // macro order established by earlier layers.
@@ -318,7 +285,7 @@ std::vector<NodeId> LlpOrder(const Graph& g, const Graph& reverse,
   return perm;
 }
 
-}  // namespace
+}  // namespace internal
 
 std::vector<NodeId> ComputeOrdering(const Graph& g, ReorderMethod method,
                                     uint64_t seed) {
@@ -338,7 +305,7 @@ std::vector<NodeId> ComputeOrdering(const Graph& g, ReorderMethod method,
     }
     case ReorderMethod::kLlp: {
       Graph reverse = g.Reversed();
-      return LlpOrder(g, reverse, seed);
+      return internal::LlpOrder(g, reverse, seed, SharedThreadPool());
     }
   }
   return IdentityOrder(g.num_nodes());

@@ -53,12 +53,18 @@ Graph ApplyReordering(const Graph& g, ReorderMethod method, uint64_t seed = 42);
 
 namespace internal {
 
-/// One LLP label-propagation layer (exposed for tests). `pool == nullptr`
-/// runs the historical serial loop; any pool produces bit-identical labels
-/// via the chunked speculate-then-validate schedule (see reorder.cc).
+/// One LLP label-propagation layer, the plain serial loop (exposed for
+/// tests): from singleton labels, up to `iterations` sweeps, each starting
+/// with one rng.Shuffle of the node visit order; stops after the first sweep
+/// that relabels no node.
 std::vector<NodeId> PropagateLabels(const Graph& g, const Graph& reverse,
-                                    double gamma, int iterations, Rng& rng,
-                                    ThreadPool* pool);
+                                    double gamma, int iterations, Rng& rng);
+
+/// The LLP permutation, its layers run concurrently on `pool` (see
+/// reorder.cc). Equal to running the layers one after another on one
+/// Rng(seed), for every pool size; ComputeOrdering passes SharedThreadPool().
+std::vector<NodeId> LlpOrder(const Graph& g, const Graph& reverse,
+                             uint64_t seed, ThreadPool& pool);
 
 }  // namespace internal
 

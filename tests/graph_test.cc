@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "graph/generators.h"
 #include "graph/graph_io.h"
@@ -225,6 +226,38 @@ TEST(GraphIo, CorruptBinaryRejected) {
   auto r = ReadBinaryCsr(path);
   EXPECT_TRUE(r.status().IsCorruption());
   std::remove(path.c_str());
+}
+
+TEST(GraphIo, BinaryHeaderLargerThanFileRejected) {
+  // 16-byte files whose header claims more than the file holds: the reader
+  // must return Corruption before sizing a buffer from the header.
+  struct Header {
+    uint32_t num_nodes;
+    uint64_t num_edges;
+  };
+  for (Header h : {Header{1, uint64_t{1} << 62}, Header{0xFFFFFFF0u, 0}}) {
+    std::string path = ::testing::TempDir() + "/big_header.bin";
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    uint32_t magic = 0x47435231;  // "GCR1"
+    std::fwrite(&magic, sizeof(magic), 1, f);
+    std::fwrite(&h.num_nodes, sizeof(h.num_nodes), 1, f);
+    std::fwrite(&h.num_edges, sizeof(h.num_edges), 1, f);
+    std::fclose(f);
+    auto r = ReadBinaryCsr(path);
+    EXPECT_TRUE(r.status().IsCorruption())
+        << "nodes " << h.num_nodes << " edges " << h.num_edges << ": "
+        << r.status().ToString();
+    std::remove(path.c_str());
+  }
+}
+
+TEST(GraphIo, WritersReportFailedWrites) {
+  // /dev/full accepts the open and buffered writes and fails the flush.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Graph g = MakePaperFigure1Graph();
+  EXPECT_FALSE(WriteEdgeListFile(g, "/dev/full").ok());
+  EXPECT_FALSE(WriteBinaryCsr(g, "/dev/full").ok());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "baseline/cpu_bfs.h"
@@ -12,6 +13,7 @@
 #include "graph/generators.h"
 #include "graph/graph_stats.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace gcgt {
 namespace {
@@ -120,6 +122,127 @@ TEST(Reorder, ValidatePermutationCatchesErrors) {
   EXPECT_FALSE(ValidatePermutation({0, 1, 1}, 3).ok());     // repeated
   EXPECT_FALSE(ValidatePermutation({0, 1, 5}, 3).ok());     // out of range
   EXPECT_TRUE(ValidatePermutation({2, 0, 1}, 3).ok());
+}
+
+// ---------------------------------------------------------------------------
+// LLP layer schedule: the layers run concurrently, the permutation is the
+// sequential one.
+// ---------------------------------------------------------------------------
+
+constexpr double kGammas[] = {1.0, 1.0 / 4, 1.0 / 16, 0.0};
+
+/// Sweeps a layer ran, read off the rng stream: every sweep is one Shuffle
+/// of an n-element vector.
+int SweepsBetween(Rng before, Rng after, NodeId n) {
+  std::vector<NodeId> scratch(n);
+  const uint64_t next = after.Next();
+  for (int sweeps = 0; sweeps <= 4; ++sweeps) {
+    if (Rng(before).Next() == next) return sweeps;
+    before.Shuffle(scratch);
+  }
+  return -1;
+}
+
+/// The LLP permutation with the four layers run one after another on one
+/// Rng; `sweeps`, if given, receives each layer's sweep count.
+std::vector<NodeId> ReferenceLlp(const Graph& g, uint64_t seed,
+                                 std::vector<int>* sweeps = nullptr) {
+  const NodeId n = g.num_nodes();
+  Graph reverse = g.Reversed();
+  Rng rng(seed);
+  std::vector<NodeId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<NodeId> label_rank(n);
+  for (double gamma : kGammas) {
+    const Rng before = rng;
+    std::vector<NodeId> label =
+        internal::PropagateLabels(g, reverse, gamma, 4, rng);
+    if (sweeps != nullptr) sweeps->push_back(SweepsBetween(before, rng, n));
+    std::fill(label_rank.begin(), label_rank.end(), kInvalidNode);
+    NodeId next_rank = 0;
+    for (NodeId node : order) {
+      if (label_rank[label[node]] == kInvalidNode) {
+        label_rank[label[node]] = next_rank++;
+      }
+    }
+    std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+      return label_rank[label[a]] < label_rank[label[b]];
+    });
+  }
+  std::vector<NodeId> perm(n);
+  for (NodeId rank = 0; rank < n; ++rank) perm[order[rank]] = rank;
+  return perm;
+}
+
+uint64_t PermutationDigest(const std::vector<NodeId>& perm) {
+  uint64_t h = 0x12345;
+  for (NodeId x : perm) h = Mix64(h ^ x);
+  return h;
+}
+
+std::vector<Graph> LlpTestGraphs() {
+  TwitterGraphParams twitter;
+  twitter.num_nodes = 2000;
+  twitter.seed = 13;
+  std::vector<Graph> graphs;
+  graphs.push_back(GenerateWebGraph({.num_nodes = 2000, .seed = 11}));
+  graphs.push_back(GenerateSocialGraph({.num_nodes = 2000, .seed = 12}));
+  graphs.push_back(GenerateTwitterGraph(twitter));
+  graphs.push_back(GenerateErdosRenyi(2000, 9000, 14));
+  return graphs;
+}
+
+TEST(LlpSchedule, MatchesSequentialLayerReference) {
+  for (const Graph& g : LlpTestGraphs()) {
+    for (uint64_t seed : {42, 7}) {
+      EXPECT_EQ(ComputeOrdering(g, ReorderMethod::kLlp, seed),
+                ReferenceLlp(g, seed))
+          << "n " << g.num_nodes() << " seed " << seed;
+    }
+  }
+}
+
+TEST(LlpSchedule, PoolSizeDoesNotChangePermutation) {
+  for (const Graph& g : LlpTestGraphs()) {
+    Graph reverse = g.Reversed();
+    const std::vector<NodeId> expected = ReferenceLlp(g, 42);
+    for (size_t threads : {1, 2, 3, 4, 7}) {
+      EXPECT_EQ(internal::LlpOrder(g, reverse, 42, SharedThreadPool(threads)),
+                expected)
+          << "n " << g.num_nodes() << " threads " << threads;
+    }
+  }
+}
+
+TEST(LlpSchedule, EarlyConvergedLayerReplaysRngStream) {
+  // Sparse ER graphs. On the first, layers 0-2 each stop after 3 sweeps,
+  // so every layer after the first is rerun from the true stream; on the
+  // second only layer 2 stops early, so only layer 3 is rerun. On both the
+  // permutation differs if the reruns are skipped.
+  for (const Graph& g :
+       {GenerateErdosRenyi(50, 25, 14), GenerateErdosRenyi(300, 150, 16)}) {
+    std::vector<int> sweeps;
+    const std::vector<NodeId> expected = ReferenceLlp(g, 42, &sweeps);
+    ASSERT_EQ(sweeps.size(), 4u);
+    EXPECT_TRUE(std::any_of(sweeps.begin(), sweeps.end() - 1,
+                            [](int s) { return s >= 1 && s < 4; }))
+        << "no layer before the last converged early";
+    Graph reverse = g.Reversed();
+    for (size_t threads : {1, 4}) {
+      EXPECT_EQ(internal::LlpOrder(g, reverse, 42, SharedThreadPool(threads)),
+                expected)
+          << "n " << g.num_nodes() << " threads " << threads;
+    }
+  }
+}
+
+TEST(LlpSchedule, PermutationDigestIsPinned) {
+  // Recorded when the layers still ran one after another. A change here
+  // changes every LLP-prepared artifact and its compression rate.
+  EXPECT_EQ(PermutationDigest(ComputeOrdering(
+                GenerateWebGraph({.num_nodes = 2000, .seed = 11}),
+                ReorderMethod::kLlp, 42)),
+            0x96ce42188be56cbfULL);
 }
 
 }  // namespace

@@ -4,8 +4,7 @@
 //    level capture, device budget accounting, post-round kernels);
 //  - parallel-vs-serial bit-identity of the claim-buffer filter path,
 //    including the deferred fallback used by filters that do not override
-//    the claim hooks;
-//  - parallel-deterministic LLP label propagation.
+//    the claim hooks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,8 +19,6 @@
 #include "core/frontier_filter.h"
 #include "core/traversal_pipeline.h"
 #include "graph/generators.h"
-#include "reorder/reorder.h"
-#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace gcgt {
@@ -252,35 +249,6 @@ TEST(ClaimProtocol, DeferredFallbackMatchesSerialEngine) {
       EXPECT_EQ(warps_s[w], warps_p[w]) << "warp " << w << " seg " << seg;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel-deterministic LLP.
-// ---------------------------------------------------------------------------
-
-TEST(ParallelLlp, PropagateLabelsMatchesSerialReference) {
-  Graph g = GenerateSocialGraph({.num_nodes = 3000, .seed = 17});
-  Graph reverse = g.Reversed();
-  for (double gamma : {1.0, 0.25, 0.0}) {
-    Rng rng_serial(123), rng_par(123);
-    auto serial = internal::PropagateLabels(g, reverse, gamma, 4, rng_serial,
-                                            /*pool=*/nullptr);
-    ThreadPool& pool = SharedThreadPool(4);
-    auto parallel =
-        internal::PropagateLabels(g, reverse, gamma, 4, rng_par, &pool);
-    EXPECT_EQ(serial, parallel) << "gamma " << gamma;
-  }
-}
-
-TEST(ParallelLlp, PoolSizeDoesNotChangeLabels) {
-  Graph g = GenerateErdosRenyi(2000, 9000, 5);
-  Graph reverse = g.Reversed();
-  Rng rng3(9), rng7(9);
-  ThreadPool& pool3 = SharedThreadPool(3);
-  ThreadPool& pool7 = SharedThreadPool(7);
-  auto a = internal::PropagateLabels(g, reverse, 0.25, 3, rng3, &pool3);
-  auto b = internal::PropagateLabels(g, reverse, 0.25, 3, rng7, &pool7);
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace
