@@ -129,6 +129,7 @@ Result<GcgtSession> GcgtSession::Prepare(const Graph& graph,
                                          const PrepareOptions& options,
                                          uint64_t fingerprint) {
   if (Status s = options.cgr.Validate(); !s.ok()) return s;
+  if (Status s = options.gcgt.Validate(); !s.ok()) return s;
 
   GcgtSession session;
   session.options_ = options;
@@ -406,6 +407,9 @@ void GcgtSession::RemapResult(QueryResult& result) const {
 Result<QueryResult> GcgtSession::Run(const Query& query,
                                      const RunOptions& run) {
   RunScope single_caller(busy_);  // see the threading contract on Run()
+  // Attach/Adopt take options unchecked; every backend's engines assume a
+  // valid warp geometry.
+  if (Status s = options_.gcgt.Validate(); !s.ok()) return s;
   Query translated = query;
   if (Status s = TranslateQuery(translated); !s.ok()) return s;
 

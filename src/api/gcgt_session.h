@@ -253,8 +253,9 @@ struct RunOptions {
 class GcgtSession {
  public:
   /// Builds a session from a raw graph: VNC (optional) → reordering
-  /// (optional) → CGR encoding → persistent engine. Fails on invalid CGR
-  /// options. The input graph is not retained — the session holds only the
+  /// (optional) → CGR encoding → persistent engine. Fails with
+  /// InvalidArgument on invalid CGR options or an invalid warp geometry
+  /// (GcgtOptions::Validate). The input graph is not retained — the session holds only the
   /// encoded CgrGraph (baseline backends rebuild the uncompressed view
   /// lazily). Queries keep speaking the input graph's node ids — the
   /// session retains the reordering permutation and translates sources and
@@ -273,7 +274,9 @@ class GcgtSession {
   /// Wraps an already-encoded, externally-owned CgrGraph (which must outlive
   /// the session) — the single-query-wrapper and parameter-sweep path where
   /// the encode is shared across several engine configurations. Baseline
-  /// backends decode the uncompressed graph lazily on first use.
+  /// backends decode the uncompressed graph lazily on first use. `options`
+  /// is not checked here: Run() returns InvalidArgument for every query of
+  /// a session whose options fail GcgtOptions::Validate (same for Adopt).
   static GcgtSession Attach(const CgrGraph& cgr,
                             const GcgtOptions& options = {});
 
@@ -321,7 +324,8 @@ class GcgtSession {
   /// own AttachClone() of one prepared session (see GcgtService).
   ///
   /// Runs one query. OutOfMemory when the backend's modeled footprint
-  /// exceeds the device budget; InvalidArgument on bad sources.
+  /// exceeds the device budget; InvalidArgument on bad sources or options
+  /// that fail GcgtOptions::Validate.
   Result<QueryResult> Run(const Query& query, const RunOptions& run = {});
 
   /// Runs the queries in order through the persistent engine, amortizing

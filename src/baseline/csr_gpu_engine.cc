@@ -1,7 +1,6 @@
 #include "baseline/csr_gpu_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 #include "core/bc_filters.h"
@@ -62,15 +61,9 @@ void AppendChargeImpl(CsrKernelState& s, Filter& filter, size_t n,
   // Visited/label gather: label words are 4-byte aligned in a dense region,
   // so the per-warp epoch filter deduplicates label lines exactly
   // (bit-identical to LineSet insertion) at an array lookup per edge.
-  if (s.label_filter.enabled()) {
-    uint64_t novel = 0;
-    for (size_t i = 0; i < n; ++i) novel += s.label_filter.Touch(uv_at(i).second);
-    if (novel > 0) ctx.ChargeTransactions(novel);
-  } else {
-    ctx.MemAccessIndexed(n, 4, [&uv_at](size_t i) {
-      return kLabelBase + 4ull * uv_at(i).second;
-    });
-  }
+  uint64_t novel = 0;
+  for (size_t i = 0; i < n; ++i) novel += s.label_filter.Touch(uv_at(i).second);
+  if (novel > 0) ctx.ChargeTransactions(novel);
   ctx.SharedOp();
   ctx.Atomic(1);
   size_t tail = out->size();
@@ -104,17 +97,11 @@ void CsrWarp(const Graph& g, std::span<const NodeId> chunk, Filter& filter,
   WarpContext& ctx = s.ctx;
   ctx.Step(static_cast<int>(chunk.size()));
   ctx.MemAccessRange(kQueueBase, 4ull * chunk.size());
-  if (s.offset_filter.enabled()) {
-    uint64_t novel = 0;
-    // Each lane reads offset + next offset: elements u and u + 1 of the
-    // dense 4B offsets array (the 8-byte window may straddle a line).
-    for (NodeId u : chunk) novel += s.offset_filter.TouchRange(u, u + 1ull);
-    if (novel > 0) ctx.ChargeTransactions(novel);
-  } else {
-    ctx.MemAccessIndexed(chunk.size(), 8, [chunk](size_t i) {
-      return kOffsetsBase + 4ull * chunk[i];  // offset + next offset
-    });
-  }
+  // Each lane reads offset + next offset: elements u and u + 1 of the dense
+  // 4B offsets array (the 8-byte window may straddle a line).
+  uint64_t novel = 0;
+  for (NodeId u : chunk) novel += s.offset_filter.TouchRange(u, u + 1ull);
+  if (novel > 0) ctx.ChargeTransactions(novel);
 
   // Tier 1: warp-wide strip mining of large lists.
   s.small.clear();
@@ -233,6 +220,7 @@ uint64_t CsrBytes32(const Graph& g) {
 
 Result<GcgtBfsResult> CsrBfs(const Graph& g, NodeId source,
                              const CsrEngineOptions& options) {
+  GCGT_RETURN_NOT_OK(ValidateWarpGeometry(options.lanes, options.cost));
   if (source >= g.num_nodes()) {
     return Status::InvalidArgument("BFS source out of range");
   }
@@ -276,6 +264,7 @@ Result<GcgtBfsResult> CsrBfs(const Graph& g, NodeId source,
 }
 
 Result<GcgtCcResult> CsrCc(const Graph& g, const CsrEngineOptions& options) {
+  GCGT_RETURN_NOT_OK(ValidateWarpGeometry(options.lanes, options.cost));
   const uint64_t v = g.num_nodes();
   const uint64_t e = g.num_edges();
   // Soman et al. is edge-centric: COO edge list + parent array.
@@ -294,7 +283,6 @@ Result<GcgtCcResult> CsrCc(const Graph& g, const CsrEngineOptions& options) {
   simt::KernelTimeline timeline(options.cost);
   std::vector<WarpStats> warps;
   std::vector<NodeId> scratch;
-  std::vector<uint64_t> addrs;
   WarpContext ctx(options.lanes, options.cost.cache_line_bytes);
   simt::DenseRegionFilter labels;  // parent array: dense 4B words
   labels.Configure(static_cast<uint64_t>(options.cost.cache_line_bytes) / 4,
@@ -310,26 +298,17 @@ Result<GcgtCcResult> CsrCc(const Graph& g, const CsrEngineOptions& options) {
       ctx.Step(static_cast<int>(n));
       ctx.MemAccessRange(kCsrColBase + 4ull * off, 4ull * n);          // u array
       ctx.MemAccessRange(kCsrColBase + (4ull << 30) + 4ull * off, 4ull * n);
-      addrs.clear();
       uint64_t novel = 0;
       uint64_t max_depth = 1;
       for (size_t i = off; i < off + n; ++i) {
         auto [eu, ev] = edges[i];
         uint64_t depth = 0;
         for (NodeId r = eu; filter.parent()[r] != r; r = filter.parent()[r]) {
-          if (labels.enabled()) {
-            novel += labels.Touch(r);
-          } else {
-            addrs.push_back(kLabelBase + 4ull * r);
-          }
+          novel += labels.Touch(r);
           ++depth;
         }
         for (NodeId r = ev; filter.parent()[r] != r; r = filter.parent()[r]) {
-          if (labels.enabled()) {
-            novel += labels.Touch(r);
-          } else {
-            addrs.push_back(kLabelBase + 4ull * r);
-          }
+          novel += labels.Touch(r);
           ++depth;
         }
         max_depth = std::max(max_depth, depth);
@@ -338,11 +317,7 @@ Result<GcgtCcResult> CsrCc(const Graph& g, const CsrEngineOptions& options) {
       }
       if (int a = filter.TakeAtomics(); a > 0) ctx.Atomic(a);
       for (uint64_t d = 1; d < max_depth; ++d) ctx.Step(static_cast<int>(n));
-      if (labels.enabled()) {
-        if (novel > 0) ctx.ChargeTransactions(novel);
-      } else {
-        ctx.MemAccess(addrs, 4);
-      }
+      if (novel > 0) ctx.ChargeTransactions(novel);
       warps.push_back(ctx.TakeStats());
     }
     timeline.AddKernel(warps);
@@ -364,6 +339,7 @@ Result<GcgtCcResult> CsrCc(const Graph& g, const CsrEngineOptions& options) {
 
 Result<GcgtBcResult> CsrBc(const Graph& g, NodeId source,
                            const CsrEngineOptions& options) {
+  GCGT_RETURN_NOT_OK(ValidateWarpGeometry(options.lanes, options.cost));
   if (source >= g.num_nodes()) {
     return Status::InvalidArgument("BC source out of range");
   }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/frontier_filter.h"
-#include "core/memory_layout.h"
 #include "simt/warp.h"
 
 namespace gcgt {
@@ -102,22 +101,16 @@ class CcFilter final : public FrontierFilter {
     // per-address LineSet walks (see simt::DenseRegionFilter).
     simt::DenseRegionFilter labels;
     labels.Configure(static_cast<uint64_t>(line_bytes) / 4, n);
-    std::vector<uint64_t> addrs;
     for (NodeId begin = 0; begin < n; begin += lanes) {
       NodeId end = std::min<NodeId>(n, begin + lanes);
       labels.NextWarp();
       uint64_t max_depth = 0;
       uint64_t novel = 0;
-      addrs.clear();
       for (NodeId x = begin; x < end; ++x) {
         uint64_t depth = 0;
         NodeId r = x;
         while (parent_[r] != r) {
-          if (labels.enabled()) {
-            novel += labels.Touch(r);
-          } else {
-            addrs.push_back(kLabelBase + 4ull * r);
-          }
+          novel += labels.Touch(r);
           r = parent_[r];
           ++depth;
         }
@@ -126,13 +119,8 @@ class CcFilter final : public FrontierFilter {
       ctx.Step(end - begin);
       for (uint64_t d = 1; d < max_depth; ++d) ctx.Step(end - begin);
       for (NodeId x = begin; x < end; ++x) parent_[x] = Find(x);
-      if (labels.enabled()) {
-        novel += labels.TouchRange(begin, end - 1);
-        if (novel > 0) ctx.ChargeTransactions(novel);
-      } else {
-        ctx.MemAccess(addrs, 4);
-        ctx.MemAccessRange(kLabelBase + 4ull * begin, 4ull * (end - begin));
-      }
+      novel += labels.TouchRange(begin, end - 1);
+      if (novel > 0) ctx.ChargeTransactions(novel);
       warps.push_back(ctx.TakeStats());
     }
     return warps;

@@ -114,12 +114,7 @@ class WarpSim {
   WarpSim(const CgrGraph& g, const GcgtOptions& o)
       : g_(g),
         o_(o),
-        ctx_(o.lanes, o.cost.cache_line_bytes),
-        line_shift_(std::has_single_bit(
-                        static_cast<uint64_t>(o.cost.cache_line_bytes))
-                        ? std::countr_zero(
-                              static_cast<uint64_t>(o.cost.cache_line_bytes))
-                        : -1) {
+        ctx_(o.lanes, o.cost.cache_line_bytes) {
     const uint64_t line = static_cast<uint64_t>(o.cost.cache_line_bytes);
     label_filter_.Configure(line / 4, g.num_nodes());
     offset_filter_.Configure(line / 8, g.num_nodes() + 1);
@@ -157,6 +152,7 @@ class WarpSim {
     return ln.deg - ln.dec->interval_neighbor_total();
   }
 
+  void LoadFrontier(std::span<const NodeId> chunk);
   void HeaderPhase(std::span<const NodeId> chunk);
   void ByteCodecPhase(std::span<const NodeId> chunk);
   void RunIntuitive();
@@ -192,13 +188,11 @@ class WarpSim {
   void PushRange(uint64_t bit_before, uint64_t bit_after, uint64_t& lane_lo,
                  uint64_t& lane_hi) {
     const BitRange r = ByteRangeOf(bit_before, bit_after);
-    if (line_shift_ >= 0) {
-      const uint64_t lo = r.first >> line_shift_;
-      const uint64_t hi = r.second >> line_shift_;
-      if (lo >= lane_lo && hi <= lane_hi) return;
-      lane_lo = lo;
-      lane_hi = hi;
-    }
+    const uint64_t lo = ctx_.LineOf(r.first);
+    const uint64_t hi = ctx_.LineOf(r.second);
+    if (lo >= lane_lo && hi <= lane_hi) return;
+    lane_lo = lo;
+    lane_hi = hi;
     ranges_.push_back(r);
   }
   // One visited-check/append slot over `items`. Does not clear the storage;
@@ -206,11 +200,14 @@ class WarpSim {
   void AppendStep(std::span<AppendItem> items);
   template <typename Filter>
   void AppendDecide(Filter& filter, std::span<const AppendItem> items);
+  // Appends the buffered items past head_ as full warp-wide slots (and, on
+  // the final flush, the partial tail, after which the buffer is empty
+  // again); returns the number of append rounds issued.
+  int FlushBuffer(bool final_flush);
 
   const CgrGraph& g_;
   const GcgtOptions& o_;
   WarpContext ctx_;
-  int line_shift_;  // log2(cache line bytes); -1 disables range skipping
 
   // Per-warp exact line filters for the dense label (4B) and bitStart-offset
   // (8B) regions; replaces LineSet dedup of kLabelBase / kOffsetsBase
@@ -233,7 +230,8 @@ class WarpSim {
   std::vector<AppendItem> items_;
   std::vector<uint8_t> pred_;
   std::vector<int> work_;
-  std::vector<AppendItem> buffer_;
+  std::vector<AppendItem> buffer_;  // shared-memory append buffer
+  size_t head_ = 0;  // buffer_ items before head_ were already appended
   std::vector<EdgePair> edge_pairs_;
   struct Task {
     int src_lane;
@@ -264,17 +262,10 @@ void WarpSim::AppendStep(std::span<AppendItem> items) {
   // aligned in a dense region (one line holds line_bytes/4 consecutive
   // labels, no straddles), so the per-warp epoch filter below deduplicates
   // label lines exactly — bit-identical to inserting each into the LineSet,
-  // at an array lookup per item. Falls back to the generic charge when the
-  // line size is not 4-aligned-power-of-two.
-  if (label_filter_.enabled()) {
-    uint64_t novel = 0;
-    for (const auto& it : items) novel += label_filter_.Touch(it.v);
-    if (novel > 0) ctx_.ChargeTransactions(novel);
-  } else {
-    ctx_.MemAccessIndexed(items.size(), 4, [items](size_t i) {
-      return kLabelBase + 4ull * items[i].v;
-    });
-  }
+  // at an array lookup per item.
+  uint64_t novel = 0;
+  for (const auto& it : items) novel += label_filter_.Touch(it.v);
+  if (novel > 0) ctx_.ChargeTransactions(novel);
   ctx_.SharedOp();  // exclusiveScan for the contraction offsets
   ctx_.Atomic(1);   // single queue-tail atomic per warp (Alg. 1 line 30)
   if (claim_writer_ != nullptr) {
@@ -329,6 +320,36 @@ void WarpSim::AppendDecide(Filter& filter, std::span<const AppendItem> items) {
   }
 }
 
+int WarpSim::FlushBuffer(bool final_flush) {
+  int rounds = 0;
+  while (buffer_.size() - head_ >= static_cast<size_t>(o_.lanes) ||
+         (final_flush && buffer_.size() > head_)) {
+    size_t take = std::min<size_t>(buffer_.size() - head_, o_.lanes);
+    std::span<AppendItem> round(buffer_.data() + head_, take);
+    for (size_t i = 0; i < take; ++i) {
+      round[i].exec_lane = static_cast<int>(i);
+    }
+    head_ += take;
+    AppendStep(round);
+    ++rounds;
+  }
+  if (final_flush) {
+    buffer_.clear();
+    head_ = 0;
+  }
+  return rounds;
+}
+
+// Coalesced frontier load + bitStart offset gather that opens every chunk.
+// The offsets are a dense 8B region, deduplicated by offset_filter_.
+void WarpSim::LoadFrontier(std::span<const NodeId> chunk) {
+  ctx_.Step(static_cast<int>(chunk.size()));
+  ctx_.MemAccessRange(kQueueBase, 4ull * chunk.size());
+  uint64_t novel = 0;
+  for (NodeId u : chunk) novel += offset_filter_.Touch(u);
+  if (novel > 0) ctx_.ChargeTransactions(novel);
+}
+
 void WarpSim::HeaderPhase(std::span<const NodeId> chunk) {
   // Reset lanes in place (assigning fresh Lane values would reconstruct the
   // decoder/stream members of all lanes on every chunk). `rs` and `dec` are
@@ -357,18 +378,7 @@ void WarpSim::HeaderPhase(std::span<const NodeId> chunk) {
       ln.dec.emplace(g_, ln.u);
     }
   }
-  // Coalesced frontier load + bitStart offset gather.
-  ctx_.Step(static_cast<int>(chunk.size()));
-  ctx_.MemAccessRange(kQueueBase, 4ull * chunk.size());
-  if (offset_filter_.enabled()) {
-    uint64_t novel = 0;
-    for (NodeId u : chunk) novel += offset_filter_.Touch(u);
-    if (novel > 0) ctx_.ChargeTransactions(novel);
-  } else {
-    ctx_.MemAccessIndexed(chunk.size(), 8, [chunk](size_t i) {
-      return kOffsetsBase + 8ull * chunk[i];
-    });
-  }
+  LoadFrontier(chunk);
 
   ranges_.clear();
   if (!segmented()) {
@@ -432,18 +442,7 @@ void WarpSim::ByteCodecPhase(std::span<const NodeId> chunk) {
       ln.bs = ByteCodecStream(g_, ln.u);
     }
   }
-  // Coalesced frontier load + bitStart offset gather (same as HeaderPhase).
-  ctx_.Step(static_cast<int>(chunk.size()));
-  ctx_.MemAccessRange(kQueueBase, 4ull * chunk.size());
-  if (offset_filter_.enabled()) {
-    uint64_t novel = 0;
-    for (NodeId u : chunk) novel += offset_filter_.Touch(u);
-    if (novel > 0) ctx_.ChargeTransactions(novel);
-  } else {
-    ctx_.MemAccessIndexed(chunk.size(), 8, [chunk](size_t i) {
-      return kOffsetsBase + 8ull * chunk[i];
-    });
-  }
+  LoadFrontier(chunk);
 
   // LEB128 degree headers.
   ranges_.clear();
@@ -457,21 +456,6 @@ void WarpSim::ByteCodecPhase(std::span<const NodeId> chunk) {
   if (trace_ != nullptr) trace_->BeginStep(TraceOp::kHeader);
   ChargeDecode(active, ranges_);
   ctx_.SharedOp();  // exclusiveScan over degrees for buffer offsets
-
-  buffer_.clear();
-  size_t head = 0;  // buffered items before head were already appended
-  auto flush = [&](bool final_flush) {
-    while (buffer_.size() - head >= static_cast<size_t>(o_.lanes) ||
-           (final_flush && buffer_.size() > head)) {
-      size_t take = std::min<size_t>(buffer_.size() - head, o_.lanes);
-      std::span<AppendItem> round(buffer_.data() + head, take);
-      for (size_t i = 0; i < take; ++i) {
-        round[i].exec_lane = static_cast<int>(i);
-      }
-      head += take;
-      AppendStep(round);
-    }
-  };
 
   // Lockstep block rounds: each lane with blocks left decodes one group of
   // up to 4 neighbors per decode slot.
@@ -513,9 +497,9 @@ void WarpSim::ByteCodecPhase(std::span<const NodeId> chunk) {
     if (active == 0) break;
     ChargeDecode(active, ranges_);
     ctx_.SharedOp();  // buffer write
-    flush(false);
+    FlushBuffer(false);
   }
-  flush(true);
+  FlushBuffer(true);
 }
 
 // ---------------------------------------------------------------------------
@@ -870,24 +854,9 @@ void WarpSim::ResidualPhaseStealing() {
 // parallel, and reproduces the step table of Fig. 4(d) exactly.
 void WarpSim::StealWindows(const std::vector<int>& work_lanes, bool handoff) {
   if (work_lanes.empty()) return;
-  buffer_.clear();
-  size_t head = 0;  // buffered items before head were already appended
 
   // exclusiveScan over the remaining counts to compute buffer offsets.
   ctx_.SharedOp();
-
-  auto flush = [&](bool final_flush) {
-    while (buffer_.size() - head >= static_cast<size_t>(o_.lanes) ||
-           (final_flush && buffer_.size() > head)) {
-      size_t take = std::min<size_t>(buffer_.size() - head, o_.lanes);
-      std::span<AppendItem> round(buffer_.data() + head, take);
-      for (size_t i = 0; i < take; ++i) {
-        round[i].exec_lane = static_cast<int>(i);
-      }
-      head += take;
-      AppendStep(round);
-    }
-  };
 
   for (;;) {
     if (handoff) {
@@ -931,9 +900,9 @@ void WarpSim::StealWindows(const std::vector<int>& work_lanes, bool handoff) {
     if (active == 0) break;
     ChargeDecode(active, ranges_);
     ctx_.SharedOp();  // buffer write
-    flush(false);
+    FlushBuffer(false);
   }
-  flush(true);
+  FlushBuffer(true);
 }
 
 void WarpSim::WarpCentricStream(int lane_idx) {
@@ -1027,22 +996,6 @@ void WarpSim::SegmentedResidualPhase() {
   exec_.assign(o_.lanes, ExecState{});
   for (int e = 0; e < o_.lanes; ++e) exec_[e].next = static_cast<size_t>(e);
 
-  buffer_.clear();
-  size_t head = 0;  // buffered items before head were already appended
-  auto flush = [&](bool final_flush) {
-    while (buffer_.size() - head >= static_cast<size_t>(o_.lanes) ||
-           (final_flush && buffer_.size() > head)) {
-      size_t take = std::min<size_t>(buffer_.size() - head, o_.lanes);
-      std::span<AppendItem> round(buffer_.data() + head, take);
-      for (size_t i = 0; i < take; ++i) {
-        round[i].exec_lane = static_cast<int>(i);
-      }
-      head += take;
-      ctx_.SharedOp();
-      AppendStep(round);
-    }
-  };
-
   // Live executing lanes, ascending. Lanes whose task stride is exhausted
   // drop out (stable compaction keeps lane order, so rounds, charges and
   // buffer order stay identical to scanning all lanes every round).
@@ -1087,14 +1040,15 @@ void WarpSim::SegmentedResidualPhase() {
     work_.resize(kept);
     if (decoding == 0) break;
     ChargeDecode(decoding, ranges_);
-    flush(false);
+    ctx_.SharedOp(FlushBuffer(false));  // one buffer read per append round
   }
-  flush(true);
+  ctx_.SharedOp(FlushBuffer(true));
 }
 
 // Segmented layout under levels < kFull: each lane walks its own segments
-// serially (no cross-lane distribution). Only exercised by non-default
-// configurations; kept for completeness.
+// serially (no cross-lane distribution). Reached by every segmented
+// artifact run at kTwoPhase..kWarpCentric (kIntuitive walks segments inside
+// RunIntuitive); bfs_test's social TaskStealing seg32 case covers it.
 void WarpSim::SegmentedSerialResiduals() {
   ranges_.clear();
   // Segment-count headers.

@@ -2,9 +2,28 @@
 #ifndef GCGT_CORE_GCGT_OPTIONS_H_
 #define GCGT_CORE_GCGT_OPTIONS_H_
 
+#include <bit>
+
 #include "simt/cost_model.h"
+#include "util/status.h"
 
 namespace gcgt {
+
+/// The simulated warp geometry every engine assumes: `lanes` in
+/// [1, simt::kWarpSize] and a power-of-two `cost.cache_line_bytes` >= 8, so
+/// an address maps to its line by a shift and the densest region (the 8 B
+/// bitStart offsets) still packs one or more elements per line.
+inline Status ValidateWarpGeometry(int lanes, const simt::CostModel& cost) {
+  if (lanes < 1 || lanes > simt::kWarpSize) {
+    return Status::InvalidArgument("lanes must be in [1, 32]");
+  }
+  const int line = cost.cache_line_bytes;
+  if (line < 8 || !std::has_single_bit(static_cast<unsigned>(line))) {
+    return Status::InvalidArgument(
+        "cost.cache_line_bytes must be a power of two >= 8");
+  }
+  return Status::OK();
+}
 
 /// Cumulative optimization levels, exactly as paper Fig. 9 applies them.
 /// Each level includes everything below it.
@@ -29,7 +48,8 @@ inline const char* GcgtLevelName(GcgtLevel level) {
 
 struct GcgtOptions {
   GcgtLevel level = GcgtLevel::kFull;
-  /// Lanes per warp; 32 in production, 8/16 in the paper's worked examples.
+  /// Lanes per warp, in [1, simt::kWarpSize]; 32 in production, 8/16 in the
+  /// paper's worked examples.
   int lanes = simt::kWarpSize;
   /// Host threads simulating warps concurrently. 0 = hardware concurrency,
   /// 1 = the serial reference engine. Results (frontiers, labels, per-warp
@@ -60,6 +80,10 @@ struct GcgtOptions {
   bool intersect_full_decode = false;
   simt::CostModel cost;
   simt::DeviceSpec device;
+
+  /// Checked where options enter a session or an engine (Prepare,
+  /// BuildFromContainer, GcgtSession::Run and the per-query prologues).
+  Status Validate() const { return ValidateWarpGeometry(lanes, cost); }
 };
 
 }  // namespace gcgt

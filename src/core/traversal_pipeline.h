@@ -78,8 +78,10 @@ class TraversalPipeline {
 
   /// Models the device footprint as the engine's base bytes (compressed
   /// adjacency + offsets) plus `aux_bytes` (labels, queues, sigma/delta...)
-  /// and checks it against the configured device memory.
+  /// and checks it against the configured device memory. Every query's
+  /// first call, so it also rejects an invalid warp geometry.
   Status ReserveDevice(uint64_t aux_bytes, const char* workload) {
+    if (Status s = engine_->options().Validate(); !s.ok()) return s;
     device_bytes_ = engine_->BaseDeviceBytes() + aux_bytes;
     if (device_bytes_ > engine_->options().device.memory_bytes) {
       return Status::OutOfMemory(std::string(workload) +

@@ -111,6 +111,7 @@ NodeId IntersectEngine::NumNodes() const {
 Status IntersectEngine::BeginQuery(const CancelToken& cancel,
                                    uint64_t extra_bytes,
                                    uint64_t* device_bytes) {
+  if (Status s = options_.Validate(); !s.ok()) return s;
   if (Status s = cancel.Check(); !s.ok()) return s;
   if (FaultInjector::Global().ShouldInject(FaultPoint::kIntersectKernel)) {
     return InjectedFault();

@@ -42,12 +42,13 @@ class PartitionPager {
   };
 
   /// `partitions` must outlive the pager (it aliases the CgrGraph's table).
-  /// A zero budget or empty table disables the pager.
+  /// A zero budget or empty table disables the pager. `cache_line_bytes` is
+  /// a geometry GcgtOptions::Validate accepted.
   void Configure(std::span<const CgrPartition> partitions,
                  uint64_t resident_budget_bytes, int cache_line_bytes) {
     partitions_ = partitions;
     budget_bytes_ = resident_budget_bytes;
-    line_bytes_ = cache_line_bytes > 0 ? cache_line_bytes : 1;
+    line_bytes_ = static_cast<uint64_t>(cache_line_bytes);
     starts_.clear();
     starts_.reserve(partitions.size());
     for (const CgrPartition& p : partitions) starts_.push_back(p.node_begin);

@@ -19,6 +19,7 @@ Result<std::shared_ptr<const PreparedGraph>> PreparedGraph::Build(
 Result<std::shared_ptr<const PreparedGraph>> PreparedGraph::BuildFromContainer(
     ooc::CgrContainer container, const GcgtOptions& options,
     uint64_t fingerprint) {
+  if (Status s = options.Validate(); !s.ok()) return s;
   auto owned =
       std::make_unique<const ooc::CgrContainer>(std::move(container));
   // Zero-copy for mmap'd opens: the graph borrows the mapping, which `owned`

@@ -42,6 +42,7 @@ class PreparedGraph {
   /// `fingerprint` is the registry key the caller derived from the container
   /// header + serving options (CombineOptionsFingerprint); it is trusted
   /// verbatim so PreparedGraph::fingerprint() matches the registration key.
+  /// InvalidArgument when `options` fails GcgtOptions::Validate.
   static Result<std::shared_ptr<const PreparedGraph>> BuildFromContainer(
       ooc::CgrContainer container, const GcgtOptions& options,
       uint64_t fingerprint);

@@ -15,8 +15,8 @@
 namespace gcgt::simt {
 
 /// Lanes per warp. Fixed at 32 like all CUDA hardware; the engines accept a
-/// smaller lane count for unit tests that reproduce the paper's 8-lane
-/// examples (Fig. 4).
+/// smaller lane count in [1, kWarpSize] for unit tests that reproduce the
+/// paper's 8-lane examples (Fig. 4).
 inline constexpr int kWarpSize = 32;
 
 struct CostModel {
@@ -52,6 +52,9 @@ struct CostModel {
   double external_latency_multiplier = 8.0;
   double kernel_launch_cycles = 3000;  ///< fixed cost per kernel launch
 
+  /// Bytes per device-memory line: a power of two >= 8 (checked by
+  /// ValidateWarpGeometry in core/gcgt_options.h), so engines map addresses
+  /// to lines by a shift.
   int cache_line_bytes = 128;
 
   // Machine shape.

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -280,19 +281,14 @@ class LineSet {
 /// nominal bases in memory_layout.h keep regions line-disjoint).
 class DenseRegionFilter {
  public:
-  /// `elems_per_line` = line_bytes / element_bytes; must be a power of two
-  /// (otherwise call with 0 to disable and keep the generic path).
+  /// `elems_per_line` = line_bytes / element_bytes: a power of two >= 1 for
+  /// every geometry GcgtOptions::Validate accepts.
   void Configure(uint64_t elems_per_line, size_t num_elems) {
-    if (elems_per_line == 0 || !std::has_single_bit(elems_per_line)) {
-      shift_ = -1;
-      return;
-    }
+    assert(std::has_single_bit(elems_per_line));
     shift_ = std::countr_zero(elems_per_line);
     seen_.assign((num_elems >> shift_) + 1, 0);
     epoch_ = 0;
   }
-
-  bool enabled() const { return shift_ >= 0; }
 
   /// Starts a new warp epoch (call wherever the paired WarpContext's
   /// TakeStats marks a warp boundary).
@@ -329,7 +325,7 @@ class DenseRegionFilter {
   }
 
  private:
-  int shift_ = -1;
+  int shift_ = 0;
   std::vector<uint32_t> seen_;
   uint32_t epoch_ = 0;
 };
@@ -409,10 +405,6 @@ struct WarpStats {
   bool operator==(const WarpStats&) const = default;
 };
 
-/// Counts the distinct cache lines covered by byte ranges [addr, addr+width).
-uint64_t CountCacheLines(std::span<const uint64_t> addrs, uint32_t width,
-                         int line_bytes);
-
 /// Reconstructs one warp's decision-dependent queue-append transactions
 /// without replaying its full LineSet. Valid because the nominal address
 /// regions (memory_layout.h) are line-disjoint, so of a warp's queue-region
@@ -459,20 +451,24 @@ class QueueAppendCharges {
 };
 
 /// Per-warp accounting + warp-synchronous primitives. `num_lanes` is 32 in
-/// production; tests reproducing the paper's figures use 8 or 16.
+/// production; tests reproducing the paper's figures use 8 or 16. The
+/// geometry must be one GcgtOptions::Validate accepts: lanes in
+/// [1, kWarpSize], a power-of-two line size >= 8.
 class WarpContext {
  public:
   explicit WarpContext(int num_lanes = kWarpSize, int cache_line_bytes = 128)
       : num_lanes_(num_lanes),
-        line_bytes_(static_cast<uint64_t>(cache_line_bytes)),
-        line_shift_(
-            std::has_single_bit(static_cast<uint64_t>(cache_line_bytes))
-                ? std::countr_zero(static_cast<uint64_t>(cache_line_bytes))
-                : -1) {
+        line_shift_(std::countr_zero(static_cast<uint32_t>(cache_line_bytes))) {
+    assert(num_lanes >= 1 && num_lanes <= kWarpSize);
+    assert(cache_line_bytes >= 8 &&
+           std::has_single_bit(static_cast<uint32_t>(cache_line_bytes)));
     ClearRecent();
   }
 
   int num_lanes() const { return num_lanes_; }
+
+  /// Cache line of a byte address.
+  uint64_t LineOf(uint64_t addr) const { return addr >> line_shift_; }
 
   /// One instruction slot; `active` lanes execute, the rest are idle.
   void Step(int active) {
@@ -618,13 +614,6 @@ class WarpContext {
   }
 
  private:
-  /// Cache line of a byte address. line_bytes is a power of two in every
-  /// real configuration, so this is a shift; the division fallback keeps
-  /// exotic line sizes working.
-  uint64_t LineOf(uint64_t addr) const {
-    return line_shift_ >= 0 ? addr >> line_shift_ : addr / line_bytes_;
-  }
-
   /// Charges the cold lines of the inclusive line run [first_line,
   /// last_line] in one batched LineSet operation, behind a direct-mapped
   /// recently-charged-run cache: every lane re-reading the line it was
@@ -651,8 +640,7 @@ class WarpContext {
   static constexpr size_t kRecentSlots = 256;
 
   int num_lanes_;
-  uint64_t line_bytes_;
-  int line_shift_;
+  int line_shift_;  // log2(cache line bytes)
   WarpStats stats_;
   LineSet touched_lines_;
   // Direct-mapped (by first line id) cache of recently charged line runs.

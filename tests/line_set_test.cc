@@ -230,14 +230,10 @@ void RunContextDifferential(int lanes, int line_bytes, uint64_t seed) {
 TEST(WarpContextDifferential, MemTxnsMatchOracleAcrossLaneAndLineSizes) {
   uint64_t seed = 7;
   for (int lanes : {8, 16, 32}) {
-    for (int line_bytes : {32, 128}) {
+    for (int line_bytes : {8, 32, 64, 128}) {
       RunContextDifferential(lanes, line_bytes, seed++);
     }
   }
-}
-
-TEST(WarpContextDifferential, NonPowerOfTwoLineSizeFallback) {
-  RunContextDifferential(8, 96, 1234);  // division fallback path
 }
 
 TEST(DenseRegionFilter, MatchesLineSetForAlignedElements) {
@@ -262,22 +258,13 @@ TEST(DenseRegionFilter, MatchesLineSetForAlignedElements) {
   }
 }
 
-TEST(DenseRegionFilter, DisabledForNonPowerOfTwoGeometry) {
-  DenseRegionFilter filter;
-  filter.Configure(24, 1000);
-  EXPECT_FALSE(filter.enabled());
-  filter.Configure(0, 1000);
-  EXPECT_FALSE(filter.enabled());
-  filter.Configure(16, 1000);
-  EXPECT_TRUE(filter.enabled());
-}
-
 // ---------------------------------------------------------------------------
 // Engine-level bit-identity: BENCH_fig8-shape BFS runs must produce
 // bit-identical frontiers and per-warp WarpStats between the serial
 // reference and the parallel engine, for every lane-count x line-size
-// combination (including the 32B-line configuration that stresses the
-// scattered fallback and the straddling decode reads).
+// combination (including the 8B minimum line, where an offset fills a whole
+// line, and the 32B line that stresses the scattered LineSet path and the
+// straddling decode reads).
 // ---------------------------------------------------------------------------
 
 Graph Fig8ShapeGraph() {
@@ -332,7 +319,7 @@ void RunEngineBitIdentity(uint32_t segment_len, int lanes, int line_bytes) {
 TEST(EngineBitIdentity, WarpStatsAcrossLaneAndLineSizes) {
   for (uint32_t seg : {0u, 32u}) {
     for (int lanes : {8, 16, 32}) {
-      for (int line_bytes : {32, 128}) {
+      for (int line_bytes : {8, 32, 64, 128}) {
         RunEngineBitIdentity(seg, lanes, line_bytes);
       }
     }

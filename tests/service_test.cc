@@ -7,16 +7,20 @@
 //    the worker pool (encode/engine reuse accounting),
 //  - cache on/off equivalence, deterministic hit accounting on one worker,
 //  - backpressure: all accepted queries complete; graceful shutdown drains,
-//  - admission control and error paths (unknown graph, shut-down service).
+//  - admission control and error paths (unknown graph, shut-down service,
+//    registrations with an invalid warp geometry).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "cgr/cgr_graph.h"
 #include "core/cgr_traversal.h"
 #include "graph/generators.h"
+#include "ooc/cgr_container.h"
 #include "service/gcgt_service.h"
 
 namespace gcgt {
@@ -452,6 +456,60 @@ TEST(GcgtService, UnknownGraphAndQueryErrorsFlowThroughFutures) {
                   .IsInvalidArgument());
   EXPECT_NE(service.FindGraph(id.value()), nullptr);
   EXPECT_EQ(service.FindGraph(0xdeadbeef), nullptr);
+}
+
+TEST(GcgtService, RegisterGraphRejectsInvalidWarpGeometry) {
+  Graph g = MakeGraph("er");
+  ServiceOptions sopt;
+  sopt.num_workers = 2;
+  GcgtService service(sopt);
+  PrepareOptions bad;
+  bad.gcgt.cost.cache_line_bytes = 0;  // a zero line size divides by zero
+  EXPECT_TRUE(service.RegisterGraph(g, bad).status().IsInvalidArgument());
+
+  // The rejection leaves the service serving: a valid artifact registered
+  // afterwards answers exactly like a serial session on the same options.
+  PrepareOptions good;
+  auto id = service.RegisterGraph(g, good);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto workload = MixedWorkload(id.value(), Backend::kCgrSimt, /*repeats=*/1);
+  auto oracle = OracleResults(g, good, workload);
+  auto futures = service.SubmitBatch(workload);
+  ASSERT_EQ(futures.size(), workload.size());
+  for (size_t i = 0; i < futures.size(); ++i) {
+    Result<QueryResult> got = futures[i].get();
+    ASSERT_TRUE(got.ok()) << "query " << i << ": " << got.status().ToString();
+    ASSERT_TRUE(oracle[i].ok()) << "query " << i;
+    ExpectBitIdentical(got.value(), oracle[i].value(), i);
+  }
+}
+
+TEST(GcgtService, RegisterContainerRejectsInvalidWarpGeometry) {
+  Graph g = MakeGraph("web");
+  PrepareOptions popt;
+  popt.ooc_partitions = 4;
+  auto master = GcgtSession::Prepare(g, popt);
+  ASSERT_TRUE(master.ok());
+  const std::string path = ::testing::TempDir() + "/bad_geometry.gcoc";
+  ASSERT_TRUE(ooc::WriteCgrContainer(master.value().cgr(),
+                                     master.value().artifact_fingerprint(),
+                                     path)
+                  .ok());
+
+  GcgtService service;
+  GcgtOptions bad_line;
+  bad_line.cost.cache_line_bytes = 96;
+  GcgtOptions bad_lanes;
+  bad_lanes.lanes = 0;
+  for (const GcgtOptions& bad : {bad_line, bad_lanes}) {
+    EXPECT_TRUE(service.RegisterContainer(path, bad).status().IsInvalidArgument())
+        << "lanes=" << bad.lanes << " line=" << bad.cost.cache_line_bytes;
+  }
+  auto id = service.RegisterContainer(path, GcgtOptions{});
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_TRUE(service.Submit({id.value(), BfsQuery{3}}).get().ok());
+  service.Shutdown();
+  std::remove(path.c_str());
 }
 
 TEST(GcgtService, DistinctArtifactsServeSideBySide) {

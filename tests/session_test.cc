@@ -5,7 +5,9 @@
 //  - RunBatch determinism across host thread counts (incl. BC doubles),
 //  - backend cross-checks: BFS/CC/BC agree across kCgrSimt, kCsrBaseline
 //    and kCpuReference on generated graphs,
-//  - Prepare() equals the hand-rolled VNC -> reorder -> encode pipeline.
+//  - Prepare() equals the hand-rolled VNC -> reorder -> encode pipeline,
+//  - an invalid warp geometry is an InvalidArgument at Prepare/Run, never a
+//    crash.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -396,6 +398,73 @@ TEST(GcgtSession, InvalidQueriesRejected) {
                     .Run(BfsQuery{g.num_nodes() + 5}, {.backend = b})
                     .status()
                     .IsInvalidArgument());
+  }
+}
+
+/// Warp geometries GcgtOptions::Validate rejects: line sizes that are zero,
+/// below 8 B or not a power of two, and lane counts outside [1, 32].
+std::vector<GcgtOptions> InvalidGeometries() {
+  std::vector<GcgtOptions> out;
+  for (int line : {0, 4, 96}) {
+    GcgtOptions o;
+    o.cost.cache_line_bytes = line;
+    out.push_back(o);
+  }
+  for (int lanes : {0, -1, 33}) {
+    GcgtOptions o;
+    o.lanes = lanes;
+    out.push_back(o);
+  }
+  return out;
+}
+
+TEST(GcgtSession, PrepareRejectsInvalidWarpGeometry) {
+  Graph g = MakeGraph("er");
+  for (const GcgtOptions& bad : InvalidGeometries()) {
+    PrepareOptions opt;
+    opt.gcgt = bad;
+    EXPECT_TRUE(GcgtSession::Prepare(g, opt).status().IsInvalidArgument())
+        << "lanes=" << bad.lanes << " line=" << bad.cost.cache_line_bytes;
+  }
+  // The accepted extremes serve answers equal to the CPU reference.
+  for (auto [lanes, line] : {std::pair{1, 8}, std::pair{32, 8},
+                             std::pair{1, 256}}) {
+    PrepareOptions opt;
+    opt.gcgt.lanes = lanes;
+    opt.gcgt.cost.cache_line_bytes = line;
+    auto session = GcgtSession::Prepare(g, opt);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto gcgt = session.value().Run(BfsQuery{4});
+    auto cpu =
+        session.value().Run(BfsQuery{4}, {.backend = Backend::kCpuReference});
+    ASSERT_TRUE(gcgt.ok() && cpu.ok()) << "lanes=" << lanes << " line=" << line;
+    EXPECT_EQ(gcgt.value().bfs().depth, cpu.value().bfs().depth);
+  }
+}
+
+TEST(GcgtSession, RunRejectsAttachedSessionWithInvalidWarpGeometry) {
+  Graph g = MakeGraph("er");
+  auto cgr = CgrGraph::Encode(g, CgrOptions{});
+  ASSERT_TRUE(cgr.ok());
+  for (const GcgtOptions& bad : InvalidGeometries()) {
+    GcgtSession session = GcgtSession::Attach(cgr.value(), bad);
+    for (Backend b : {Backend::kCgrSimt, Backend::kCsrBaseline,
+                      Backend::kCsrGunrock, Backend::kCpuReference}) {
+      EXPECT_TRUE(
+          session.Run(BfsQuery{0}, {.backend = b}).status().IsInvalidArgument())
+          << BackendName(b) << " lanes=" << bad.lanes
+          << " line=" << bad.cost.cache_line_bytes;
+    }
+    EXPECT_TRUE(session.Run(JaccardQuery{0, 1}).status().IsInvalidArgument());
+    // The engine entry points check the geometry on their own as well.
+    EXPECT_TRUE(GcgtBfs(cgr.value(), 0, bad).status().IsInvalidArgument());
+    EXPECT_TRUE(GcgtCc(cgr.value(), bad).status().IsInvalidArgument());
+    CsrEngineOptions csr;
+    csr.lanes = bad.lanes;
+    csr.cost = bad.cost;
+    EXPECT_TRUE(CsrBfs(g, 0, csr).status().IsInvalidArgument());
+    EXPECT_TRUE(CsrCc(g, csr).status().IsInvalidArgument());
+    EXPECT_TRUE(CsrBc(g, 0, csr).status().IsInvalidArgument());
   }
 }
 

@@ -9,32 +9,39 @@
 namespace gcgt::simt {
 namespace {
 
+/// Transactions one warp-wide MemAccess charges on a fresh 128B-line warp.
+uint64_t CoalescedTxns(std::span<const uint64_t> addrs, uint32_t width) {
+  WarpContext ctx(kWarpSize, 128);
+  ctx.MemAccess(addrs, width);
+  return ctx.stats().mem_txns;
+}
+
 TEST(Coalescing, ConsecutiveAddressesShareLines) {
   std::vector<uint64_t> addrs;
   for (int i = 0; i < 32; ++i) addrs.push_back(i * 4);  // 128 bytes total
-  EXPECT_EQ(CountCacheLines(addrs, 4, 128), 1u);
+  EXPECT_EQ(CoalescedTxns(addrs, 4), 1u);
 }
 
 TEST(Coalescing, ScatteredAddressesUseOneLineEach) {
   std::vector<uint64_t> addrs;
   for (int i = 0; i < 32; ++i) addrs.push_back(i * 4096);
-  EXPECT_EQ(CountCacheLines(addrs, 4, 128), 32u);
+  EXPECT_EQ(CoalescedTxns(addrs, 4), 32u);
 }
 
 TEST(Coalescing, StraddlingAccessTouchesTwoLines) {
   std::vector<uint64_t> addrs = {126};  // 4-byte access at line boundary
-  EXPECT_EQ(CountCacheLines(addrs, 4, 128), 2u);
+  EXPECT_EQ(CoalescedTxns(addrs, 4), 2u);
 }
 
 TEST(Coalescing, DuplicateAddressesCountOnce) {
   std::vector<uint64_t> addrs(32, 512);
-  EXPECT_EQ(CountCacheLines(addrs, 4, 128), 1u);
+  EXPECT_EQ(CoalescedTxns(addrs, 4), 1u);
 }
 
 TEST(Coalescing, EmptyAndZeroWidth) {
-  EXPECT_EQ(CountCacheLines({}, 4, 128), 0u);
+  EXPECT_EQ(CoalescedTxns({}, 4), 0u);
   std::vector<uint64_t> addrs = {0};
-  EXPECT_EQ(CountCacheLines(addrs, 0, 128), 0u);
+  EXPECT_EQ(CoalescedTxns(addrs, 0), 0u);
 }
 
 TEST(WarpContext, StepAccountsIdleLanes) {
