@@ -53,6 +53,23 @@ class ResidualStream {
     return prev_;
   }
 
+  /// Decodes every remaining residual, calling fn(value, end_bit) for each
+  /// in order: the same values and positions as repeated Next() + bit_pos(),
+  /// consumed a read-ahead batch at a time.
+  template <typename Fn>
+  void Drain(Fn&& fn) {
+    while (remaining_ > 0) {
+      if (buf_pos_ == buf_len_) Refill();
+      const uint32_t n = buf_len_ - buf_pos_;
+      for (uint32_t i = buf_pos_; i < buf_len_; ++i) fn(buf_val_[i], buf_end_[i]);
+      remaining_ -= n;
+      prev_ = buf_val_[buf_len_ - 1];
+      logical_pos_ = buf_end_[buf_len_ - 1];
+      buf_pos_ = buf_len_;
+      first_ = false;
+    }
+  }
+
   /// Bit/byte position after the last consumed residual, for cost
   /// accounting. Read-ahead buffering is invisible here.
   uint64_t bit_pos() const { return logical_pos_; }

@@ -308,6 +308,31 @@ class DenseRegionFilter {
     return 1;
   }
 
+  /// Touch() for index_of(x) of every x in `xs`; returns how many lines
+  /// were cold. One call per warp-wide gather keeps the table and epoch in
+  /// registers.
+  template <typename Range, typename IndexOf>
+  uint64_t TouchEach(const Range& xs, IndexOf index_of) {
+    uint64_t novel = 0;
+    uint32_t* seen = seen_.data();
+    size_t lines = seen_.size();
+    const uint32_t epoch = epoch_;
+    const int shift = shift_;
+    for (const auto& x : xs) {
+      const size_t i = static_cast<size_t>(index_of(x));
+      const size_t l = i >> shift;
+      if (l >= lines) {
+        novel += Touch(i);  // grows the table
+        seen = seen_.data();
+        lines = seen_.size();
+        continue;
+      }
+      novel += seen[l] != epoch;
+      seen[l] = epoch;
+    }
+    return novel;
+  }
+
   /// Marks the lines of elements [first, last] (inclusive); returns how
   /// many were cold.
   uint64_t TouchRange(size_t first, size_t last) {
