@@ -108,11 +108,15 @@ int main(int argc, char** argv) {
       // OOM rows carry no measurement: both metrics are zeroed and the row
       // is marked so check_trend.py skips it explicitly instead of
       // comparing the few microseconds the failed attempt took.
+      // CPU rows have no model: their ms is measured wall time, written as
+      // bfs_wall_ms so that bfs_model_ms stays deterministic.
+      const bool cpu = model_cycles == 0 && !oom;
       json.Add(d.name + "/" + name, oom ? 0.0 : wall_ns,
                oom ? 0.0 : model_cycles,
                {{"oom", oom ? "1" : "0"},
                 {"compr_rate", Cell(rate, 0, 2)},
-                {"bfs_model_ms", oom ? "OOM" : Cell(ms, 0, 3)}});
+                {cpu ? "bfs_wall_ms" : "bfs_model_ms",
+                 oom ? "OOM" : Cell(ms, 0, 3)}});
     };
     // CPU rows: wall_ns is the measured per-source BFS time; no model.
     row("Naive", naive_ms, false, csr_rate, naive_ms * 1e6, 0.0);

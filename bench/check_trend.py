@@ -4,7 +4,7 @@
 Usage:
   check_trend.py BASELINE.json CURRENT.json [--max-regress-pct N]
                  [--metric model_cycles] [--require-all]
-                 [--higher-is-better] [--min-abs-delta D]
+                 [--higher-is-better] [--min-abs-delta D] [--exact]
 
 Both files are arrays of rows as written by bench::JsonReport:
   {"scenario": "...", "wall_ns": ..., "model_cycles": ..., ...}
@@ -25,6 +25,12 @@ CI box) need a second guard: --min-abs-delta D additionally requires the
 regression to exceed D in the metric's own unit before it counts, so a
 large relative swing on a tiny absolute value (0.2ms -> 0.5ms) doesn't
 fail the build while a real blowup (5ms -> 50ms) still does.
+
+Deterministic metrics (model_cycles, intersect_txns) are meant to be
+bit-identical across refactors, and a percentage bound only guards one
+direction: --max-regress-pct 0 still passes a drop. --exact fails on any
+change of the metric in either direction instead (the percentage options
+are then ignored).
 
 Scenarios only present in one file are reported as added/removed (and fail
 the check under --require-all, which guards against a bench silently
@@ -75,6 +81,9 @@ def main():
                         help="also require the regression to exceed this "
                              "absolute delta in the metric's unit "
                              "(default: 0 = percent threshold alone decides)")
+    parser.add_argument("--exact", action="store_true",
+                        help="fail on any change of the metric, up or down "
+                             "(for deterministic metrics)")
     args = parser.parse_args()
 
     base = load(args.baseline)
@@ -114,6 +123,13 @@ def main():
             continue
         b = float(b_row.get(args.metric, 0))
         c = float(c_row.get(args.metric, 0))
+        if args.exact:
+            if c != b:
+                regressions.append((name, b, c, 0.0))
+                print(f"CHANGED:   {name}: {args.metric} {b:.0f} -> {c:.0f}")
+            else:
+                unchanged += 1
+            continue
         if b <= 0:
             continue  # no baseline signal (CPU rows)
         if c <= 0:
@@ -141,8 +157,9 @@ def main():
     print(f"\n{len(base)} baseline / {len(cur)} current scenarios; "
           f"{improved} improved, {unchanged} unchanged/within-threshold, "
           f"{skipped_oom} skipped (OOM), {recovered} recovered, "
-          f"{len(regressions)} regressed "
-          f"(metric={args.metric}, threshold={args.max_regress_pct}%)")
+          f"{len(regressions)} {'changed' if args.exact else 'regressed'} "
+          f"(metric={args.metric}, "
+          f"threshold={'exact' if args.exact else f'{args.max_regress_pct}%'})")
 
     if regressions:
         return 1
